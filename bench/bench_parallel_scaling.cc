@@ -9,10 +9,11 @@
 /// to the 1-thread run at every sweep point (the subsystem's determinism
 /// contract).
 ///
-/// P1b adds the serving shape: a long-lived EngineContext whose pool and
-/// leaf-fit cache persist across Find() calls. The second (warm) call skips
-/// thread spawn and serves every leaf fit from the cross-run cache, so
-/// back-to-back queries must beat two cold per-run engines. P1c measures the
+/// P1b adds the serving shape: a long-lived EngineContext whose pool,
+/// leaf-fit cache and stage memo persist across Find() calls. The second
+/// (warm) call skips thread spawn and phases 1–3 (a stage-memo re-rank that
+/// reads only the winners' fits from the cross-run cache), so back-to-back
+/// queries must beat two cold per-run engines. P1c measures the
 /// streaming API's time-to-first-ranked-partial against the full sweep.
 ///
 /// Both sweeps are recorded in BENCH_parallel.json (written to the working

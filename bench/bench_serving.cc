@@ -6,8 +6,10 @@
 /// threads. Each level of the sweep records throughput, the request-latency
 /// distribution (p50/p90/p99 from an obs::Histogram — the same instrument
 /// the engine's own metrics use), and the cache trajectory (hit/miss deltas
-/// against the context cache), so the artifact shows the cold->warm
-/// transition and how latency degrades as clients oversubscribe the pool.
+/// against the context's fit cache and stage memo), so the artifact shows
+/// the cold->warm transition and how latency degrades as clients
+/// oversubscribe the pool. Warm requests repeat the cold one, so each is a
+/// stage-memo re-rank that reads only the winners' fits from the fit cache.
 ///
 /// Every request's ranking is checked bit-identical to a serial baseline —
 /// concurrency that changes an answer is a bug, not a throughput result.
@@ -16,7 +18,8 @@
 /// counters, cache gauges, run-latency histogram) are captured alongside
 /// the client-side view. `--smoke` runs a reduced sweep and exits non-zero
 /// if any request diverges from the baseline, a queued admission was
-/// rejected, the warm levels stop hitting the cache, or concurrent p99 blows
+/// rejected, the warm levels stop hitting the fit cache or the stage memo,
+/// or concurrent p99 blows
 /// past a generous multiple of the warm serial mean — the CI tripwires for
 /// the serving path.
 
@@ -58,6 +61,7 @@ struct ServingRow {
   int64_t cache_hits_delta = 0;    ///< context-cache hits during the level
   int64_t cache_misses_delta = 0;  ///< context-cache misses during the level
   int64_t cache_entries = 0;       ///< fits resident after the level
+  int64_t memo_hits_delta = 0;     ///< stage-memo hits during the level
   int64_t queued_delta = 0;        ///< admissions that waited for a slot
   int64_t rejected_delta = 0;      ///< admissions refused (must stay 0: kQueue)
   bool identical = true;           ///< every ranking matched the baseline
@@ -94,6 +98,7 @@ ServingRow RunLevel(const Table& source, const Table& target,
   std::atomic<bool> identical{true};
   const int64_t hits_before = context->leaf_cache_hits();
   const int64_t misses_before = context->leaf_cache_misses();
+  const int64_t memo_hits_before = context->stage_memo_hits();
   const int64_t queued_before = context->runs_queued();
   const int64_t rejected_before = context->runs_rejected();
 
@@ -127,6 +132,7 @@ ServingRow RunLevel(const Table& source, const Table& target,
   row.cache_hits_delta = context->leaf_cache_hits() - hits_before;
   row.cache_misses_delta = context->leaf_cache_misses() - misses_before;
   row.cache_entries = static_cast<int64_t>(context->leaf_cache_entries());
+  row.memo_hits_delta = context->stage_memo_hits() - memo_hits_before;
   row.queued_delta = context->runs_queued() - queued_before;
   row.rejected_delta = context->runs_rejected() - rejected_before;
   row.identical = identical.load(std::memory_order_relaxed);
@@ -185,11 +191,11 @@ SweepResult RunSweep(bool smoke) {
 void PrintSweep(const SweepResult& sweep) {
   std::printf("cold request (fills the context cache): %s s\n\n",
               Fmt(sweep.cold_s, 3).c_str());
-  std::vector<int> widths = {7, 6, 8, 8, 8, 8, 8, 8, 8, 9, 7, 9};
+  std::vector<int> widths = {7, 6, 8, 8, 8, 8, 8, 8, 8, 9, 7, 7, 9};
   PrintRule(widths);
   PrintTableRow(widths, {"clients", "reqs", "wall s", "req/s", "mean s",
                          "p50 s", "p90 s", "p99 s", "hits d", "misses d",
-                         "queued", "identical"});
+                         "memo d", "queued", "identical"});
   PrintRule(widths);
   for (const ServingRow& r : sweep.levels) {
     PrintTableRow(widths,
@@ -198,6 +204,7 @@ void PrintSweep(const SweepResult& sweep) {
                    Fmt(r.mean_s, 4), Fmt(r.p50_s, 4), Fmt(r.p90_s, 4),
                    Fmt(r.p99_s, 4), std::to_string(r.cache_hits_delta),
                    std::to_string(r.cache_misses_delta),
+                   std::to_string(r.memo_hits_delta),
                    std::to_string(r.queued_delta),
                    r.identical ? "yes" : "NO"});
   }
@@ -221,6 +228,7 @@ void WriteJson(const std::string& path, const SweepResult& sweep) {
                  "\"mean_s\": %.5f, \"p50_s\": %.5f, \"p90_s\": %.5f, "
                  "\"p99_s\": %.5f, \"cache_hits_delta\": %lld, "
                  "\"cache_misses_delta\": %lld, \"cache_entries\": %lld, "
+                 "\"memo_hits_delta\": %lld, "
                  "\"queued_delta\": %lld, \"rejected_delta\": %lld, "
                  "\"identical\": %s}%s\n",
                  r.clients, static_cast<long long>(r.requests), r.wall_s,
@@ -228,6 +236,7 @@ void WriteJson(const std::string& path, const SweepResult& sweep) {
                  static_cast<long long>(r.cache_hits_delta),
                  static_cast<long long>(r.cache_misses_delta),
                  static_cast<long long>(r.cache_entries),
+                 static_cast<long long>(r.memo_hits_delta),
                  static_cast<long long>(r.queued_delta),
                  static_cast<long long>(r.rejected_delta),
                  r.identical ? "true" : "false",
@@ -301,6 +310,16 @@ int main(int argc, char** argv) {
                    row.clients);
       return 1;
     }
+    // Every warm request repeats the cold one, so both of its stage-memo
+    // lookups (phases 1–2, phase 3) must hit.
+    if (row.memo_hits_delta != 2 * row.requests) {
+      std::fprintf(stderr,
+                   "FAIL: level at %d clients recorded %lld stage-memo hits "
+                   "for %lld requests; expected 2 per request\n",
+                   row.clients, static_cast<long long>(row.memo_hits_delta),
+                   static_cast<long long>(row.requests));
+      return 1;
+    }
   }
   if (smoke) {
     // Levels run on a warm context; the first level (1 client) is the warm
@@ -319,8 +338,8 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("smoke OK: every concurrent ranking bit-identical, zero "
-                "rejections under queueing, cache hit at every level, p99 "
-                "within bounds\n");
+                "rejections under queueing, cache and stage-memo hits at "
+                "every level, p99 within bounds\n");
     return 0;
   }
 

@@ -18,14 +18,16 @@
 /// the per-task-kind coordinator timings of the ShardTask protocol
 /// (kSignalStats / kLeafMoments / kScorePartials), the row-free scoring
 /// counters (candidates scored from partials vs central ŷ
-/// materializations), the warm-context cells' elision counters, and the
-/// remote cells' dispatch/install/retry counters. `--smoke` runs a reduced
+/// materializations), the warm-context cells' elision counters, the
+/// stage-memo cells' task and memo-hit counters, and the remote cells'
+/// dispatch/install/retry counters. `--smoke` runs a reduced
 /// grid and exits non-zero if any sharded ranking diverges from the
 /// unsharded baseline (top signature + bit-equal score — the score-parity
 /// tripwire), any engine run materialized a central ŷ vector (row-free
 /// scoring must fully cover Phase3Fits: zero y_hat bytes), the sharded
 /// end-to-end time blows past a generous overhead ceiling, a warm-context
-/// repeat run fails to elide every kLeafMoments task, or a remote cell
+/// repeat run fails to elide every kLeafMoments task, a stage-memo repeat
+/// runs any shard task or misses the memo, or a remote cell
 /// needed a retry (loopback workers never legitimately fail) — the CI
 /// tripwires for the distributed path.
 
@@ -49,7 +51,9 @@ namespace {
 
 struct GridRow {
   std::string backend;
-  std::string mode = "cold";  ///< "cold", or "warm" (repeat on a warm context)
+  /// "cold"; "warm" (repeat on a warm fit cache, stage memo cleared); or
+  /// "memo" (repeat on a warm stage memo: a re-rank).
+  std::string mode = "cold";
   int shards = 0;  ///< 0 = unsharded engine (the baseline)
   int threads = 1;
   double total_s = 0.0;
@@ -63,6 +67,8 @@ struct GridRow {
   int64_t yhat_mats = 0;         ///< central ŷ materializations (must be 0)
   int64_t leaves_swept = 0;   ///< kLeafMoments leaves actually requested
   int64_t leaves_elided = 0;  ///< leaves skipped via the warm fit cache
+  int64_t tasks = 0;          ///< shard tasks executed, all rounds
+  int64_t memo_hits = 0;      ///< stage-memo hits (phases 1–2, phase 3)
   int64_t remote_tasks = 0;     ///< kRemote: tasks dispatched to the fleet
   int64_t remote_installs = 0;  ///< kRemote: install bundles shipped
   int64_t remote_retries = 0;   ///< kRemote: transport-failure reassignments
@@ -116,6 +122,8 @@ GridRow RunCell(const Table& source, const Table& target, int shards,
   row.yhat_mats = result.score_yhat_materializations;
   row.leaves_swept = result.shard_moment_leaves_swept;
   row.leaves_elided = result.shard_moment_leaves_elided;
+  row.tasks = result.shard_tasks_executed;
+  row.memo_hits = result.stage_memo_phase12_hits + result.stage_memo_phase3_hits;
   row.remote_tasks = result.remote_tasks_dispatched;
   row.remote_installs = result.remote_input_installs;
   row.remote_retries = result.remote_task_retries;
@@ -170,17 +178,21 @@ std::vector<GridRow> RunGrid(bool smoke) {
                              2, block_rows, &baseline, nullptr, "cold",
                              &worker_endpoints));
     }
-    // Warm-context pair: the repeat run must serve every fit from the
-    // context cache and elide every kLeafMoments task (the smoke tripwire
-    // below asserts it).
+    // Warm-context cells: with the stage memo cleared, the repeat run must
+    // serve every fit from the context cache and elide every kLeafMoments
+    // task; the next repeat hits the memo and runs no shard task at all
+    // (the smoke tripwires below assert both).
     {
       EngineContextOptions ctx_options;
       ctx_options.num_threads = 2;
       EngineContext context(ctx_options);
       grid.push_back(RunCell(source, target, 2, ShardBackendKind::kInProcess, 2,
                              block_rows, &baseline, &context, "cold"));
+      context.ClearStageMemo();
       grid.push_back(RunCell(source, target, 2, ShardBackendKind::kInProcess, 2,
                              block_rows, &baseline, &context, "warm"));
+      grid.push_back(RunCell(source, target, 2, ShardBackendKind::kInProcess, 2,
+                             block_rows, &baseline, &context, "memo"));
     }
     return grid;
   }
@@ -197,16 +209,21 @@ std::vector<GridRow> RunGrid(bool smoke) {
                                "cold", &worker_endpoints));
       }
     }
-    // Warm-context pair at 4 shards: prices the elision path.
+    // Warm-context cells at 4 shards: price the elision path (stage memo
+    // cleared) and the stage-memo re-rank.
     EngineContextOptions ctx_options;
     ctx_options.num_threads = threads;
     EngineContext context(ctx_options);
     grid.push_back(RunCell(source, target, 4, ShardBackendKind::kInProcess,
                            threads, block_rows, &per_thread_baseline, &context,
                            "cold"));
+    context.ClearStageMemo();
     grid.push_back(RunCell(source, target, 4, ShardBackendKind::kInProcess,
                            threads, block_rows, &per_thread_baseline, &context,
                            "warm"));
+    grid.push_back(RunCell(source, target, 4, ShardBackendKind::kInProcess,
+                           threads, block_rows, &per_thread_baseline, &context,
+                           "memo"));
   }
   return grid;
 }
@@ -248,7 +265,8 @@ void WriteJson(const std::string& path, const std::vector<GridRow>& grid) {
                  "\"threads\": %d, \"total_s\": %.5f, \"shard_s\": %.5f, "
                  "\"signal_s\": %.5f, \"moments_s\": %.5f, \"score_s\": %.5f, "
                  "\"rows_scanned\": %lld, \"leaves_swept\": %lld, "
-                 "\"leaves_elided\": %lld, \"score_probes\": %lld, "
+                 "\"leaves_elided\": %lld, \"tasks\": %lld, "
+                 "\"memo_hits\": %lld, \"score_probes\": %lld, "
                  "\"score_candidates\": %lld, \"yhat_materializations\": %lld, "
                  "\"remote_tasks\": %lld, "
                  "\"remote_installs\": %lld, \"remote_retries\": %lld, "
@@ -258,6 +276,8 @@ void WriteJson(const std::string& path, const std::vector<GridRow>& grid) {
                  static_cast<long long>(r.rows_scanned),
                  static_cast<long long>(r.leaves_swept),
                  static_cast<long long>(r.leaves_elided),
+                 static_cast<long long>(r.tasks),
+                 static_cast<long long>(r.memo_hits),
                  static_cast<long long>(r.score_probes),
                  static_cast<long long>(r.score_candidates),
                  static_cast<long long>(r.yhat_mats),
@@ -362,6 +382,25 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: smoke grid is missing the warm-context cell\n");
       return 1;
     }
+    // Stage-memo tripwire: the repeat on a warm memo is a re-rank — both
+    // memo lookups hit and no shard round runs, not even phase 1's.
+    bool saw_memo = false;
+    for (const charles::bench::GridRow& row : grid) {
+      if (row.mode != "memo") continue;
+      saw_memo = true;
+      if (row.memo_hits != 2 || row.tasks != 0) {
+        std::fprintf(stderr,
+                     "FAIL: stage-memo run hit the memo %lld of 2 times and "
+                     "ran %lld shard tasks; expected 2 hits and 0 tasks\n",
+                     static_cast<long long>(row.memo_hits),
+                     static_cast<long long>(row.tasks));
+        return 1;
+      }
+    }
+    if (!saw_memo) {
+      std::fprintf(stderr, "FAIL: smoke grid is missing the stage-memo cell\n");
+      return 1;
+    }
     // Remote-parity tripwire: loopback workers never legitimately fail, so a
     // remote cell with zero dispatches (fleet never used) or any transport
     // retry marks a broken remote path even when the ranking happens to match.
@@ -388,7 +427,8 @@ int main(int argc, char** argv) {
     std::printf("smoke OK: every sharded cell (including remote loopback) "
                 "bit-identical, all candidates scored row-free (zero central "
                 "y_hat bytes), overhead within bounds, warm run elided every "
-                "leaf-moments task, zero remote retries\n");
+                "leaf-moments task, memo run re-ranked with zero shard "
+                "tasks, zero remote retries\n");
     return 0;
   }
 

@@ -98,6 +98,14 @@ struct SummaryList {
   /// runs when attached to an EngineContext (the cache is shared). 0 when no
   /// bound is configured.
   int64_t leaf_fit_evictions = 0;
+  /// \name Stage memo (EngineContext runs only; see engine_context.h). Each
+  /// is 1 when the run adopted memoized products for those stages, else 0.
+  /// A hit reports the same search counts (labelings, partitions, work
+  /// items, candidates) as the cold run it replays.
+  /// @{
+  int64_t stage_memo_phase12_hits = 0;  ///< phases 1–2 skipped
+  int64_t stage_memo_phase3_hits = 0;   ///< phase 3 skipped: a re-rank
+  /// @}
   /// \name Distributed shard execution (CharlesOptions::num_shards >= 1;
   /// all zero for unsharded runs). See docs/distributed.md.
   /// @{
@@ -155,10 +163,18 @@ struct SummaryList {
   std::vector<RemoteWorkerCounters> remote_workers;
   /// @}
   /// @}
+  /// \name Wall times. The six stage fields cover the pipeline stages in
+  /// order and sum to elapsed_seconds up to RunPipeline::Run's own bookkeeping
+  /// (admission, pool spawn, metrics).
+  /// @{
   double elapsed_seconds = 0.0;
+  double diff_seconds = 0.0;        ///< diff/align: snapshot diff + alignment
+  double setup_seconds = 0.0;       ///< setup: shortlists + subset enumeration
   double clustering_seconds = 0.0;  ///< phase 1: change-signal k-means
   double induction_seconds = 0.0;   ///< phase 2: condition trees
   double fitting_seconds = 0.0;     ///< phase 3: transforms + scoring
+  double rank_seconds = 0.0;        ///< rank/stream: ranking + winners
+  /// @}
   /// @}
 
   /// Rendering of the ranked list (one block per summary).

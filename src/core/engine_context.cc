@@ -50,6 +50,9 @@ EngineContext::EngineContext(EngineContextOptions options) {
     shards = static_cast<int>(max_entries);
   }
   leaf_cache_ = std::make_unique<SharedLeafFitCache>(shards, max_entries);
+  // Memo entries are few and coarse (two per distinct query), so one lock
+  // shard costs no contention and keeps the LRU bound exact.
+  stage_memo_ = std::make_unique<StageMemoCache>(1, max_entries);
   max_concurrent_runs_ = options.max_concurrent_runs > 0 ? options.max_concurrent_runs : 0;
   admission_ = options.admission;
 }

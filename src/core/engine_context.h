@@ -10,22 +10,30 @@
 /// a one-shot CLI invocation, but a serving process answering many requests
 /// pays the thread spawn and re-fits every leaf on every call.
 ///
-/// EngineContext hoists both resources out of the run:
+/// EngineContext hoists three resources out of the run:
 ///
 ///  - one ThreadPool, spawned when the context is created and reused by every
 ///    engine attached to the context (no per-request thread churn);
 ///  - one SharedLeafFitCache surviving across runs, so a repeated query (same
-///    snapshots, same options) is served almost entirely from cached OLS fits.
+///    snapshots, same options) is served almost entirely from cached OLS fits;
+///  - one stage memo (core/stage_memo.h) holding the products of phases 1–2
+///    (labelings, partitions) and a compact ranking record per phase-3 work
+///    item. A repeat whose inputs match skips phases 1–3 entirely, and one
+///    that changes only alpha, the score weights or top_n becomes a re-rank
+///    of the stored records plus a rebuild of the winners from the fit cache.
 ///
 /// Cached fits are keyed by a per-run \em fingerprint hashing everything a
 /// leaf fit depends on (target attribute, tolerance, normality options, the
 /// transformation shortlist and its column values, and the old/new target
 /// vectors), so runs over different snapshots or options can share one
 /// context without observing each other's fits (up to 64-bit hash
-/// collisions, vanishingly unlikely but not impossible).
+/// collisions, vanishingly unlikely but not impossible). Memo entries are
+/// keyed the same way, by hashes of exactly what their stages read
+/// (docs/architecture.md#stage-memo).
 ///
-/// Determinism is unaffected: leaf fits are pure functions of their key, so a
-/// warm run produces output bit-identical to a cold one.
+/// Determinism is unaffected: leaf fits are pure functions of their key, and
+/// a re-rank recombines stored sub-scores through the same functions that
+/// scored them, so a warm run produces output bit-identical to a cold one.
 
 #include <atomic>
 #include <condition_variable>
@@ -35,6 +43,7 @@
 #include <vector>
 
 #include "common/fnv.h"
+#include "core/stage_memo.h"
 #include "core/stop_token.h"
 #include "core/transform.h"
 #include "linalg/score_partials.h"
@@ -159,8 +168,10 @@ struct EngineContextOptions {
   /// evicting least-recently-used fits. 0 = unbounded (an engine-side
   /// CharlesOptions::max_cache_entries can still trim after each run). The
   /// budget is split across the cache's lock shards (rounding down, at
-  /// least one entry per shard — see ShardedCache). Evictions never affect
-  /// results — a missing fit is simply recomputed.
+  /// least one entry per shard — see ShardedCache). The stage memo is
+  /// bounded by the same count (one LRU shard, so the bound is exact).
+  /// Evictions never affect results — a missing fit or stage product is
+  /// simply recomputed.
   int64_t max_cache_entries = 0;
   /// Admission control: Find() calls allowed to execute concurrently
   /// against this context. 0 = unbounded. The pool is shared, so admitting
@@ -171,8 +182,8 @@ struct EngineContextOptions {
   AdmissionPolicy admission = AdmissionPolicy::kQueue;
 };
 
-/// \brief Long-lived owner of the ThreadPool and leaf-fit cache shared by
-/// repeated engine runs.
+/// \brief Long-lived owner of the ThreadPool, leaf-fit cache and stage memo
+/// shared by repeated engine runs.
 ///
 /// Construct one per process (or per tenant) and attach engines to it:
 ///
@@ -180,7 +191,7 @@ struct EngineContextOptions {
 ///   charles::EngineContext context;                 // spawns the pool once
 ///   charles::CharlesEngine engine(options, &context);
 ///   auto first  = engine.Find(source, target);      // cold: fits + caches
-///   auto second = engine.Find(source, target);      // warm: served from cache
+///   auto second = engine.Find(source, target);      // warm: a memo re-rank
 /// \endcode
 ///
 /// Thread safety: the pool and cache are concurrency-safe, so multiple
@@ -249,6 +260,9 @@ class EngineContext {
   /// The cross-run leaf-fit cache; never null.
   SharedLeafFitCache* leaf_cache() const { return leaf_cache_.get(); }
 
+  /// The cross-run stage memo; never null.
+  StageMemoCache* stage_memo() const { return stage_memo_.get(); }
+
   /// Resolved worker-thread count (>= 1).
   int num_threads() const { return num_threads_; }
 
@@ -267,6 +281,13 @@ class EngineContext {
   /// Cumulative fits dropped by the cache bound (LRU eviction); 0 while the
   /// cache is unbounded and untrimmed.
   int64_t leaf_cache_evictions() const { return leaf_cache_->evictions(); }
+  /// Stage-memo entries currently held (phase-1/2 and phase-3 entries).
+  size_t stage_memo_entries() const { return stage_memo_->Size(); }
+  /// Cumulative stage-memo lookups that found an entry (a run looks up
+  /// twice: phases 1–2, then phase 3).
+  int64_t stage_memo_hits() const { return stage_memo_->hits(); }
+  /// Cumulative stage-memo lookups that found none.
+  int64_t stage_memo_misses() const { return stage_memo_->misses(); }
   /// Runs executing right now (admitted, not yet released).
   int active_runs() const;
   /// Cumulative admissions that had to wait for a slot (kQueue).
@@ -281,10 +302,18 @@ class EngineContext {
   int max_concurrent_runs() const { return max_concurrent_runs_; }
   /// @}
 
-  /// Drops every cached leaf fit (e.g. after a snapshot refresh made cached
-  /// entries unreachable and memory matters). Must not be called while a run
-  /// is in flight — runs hold pointers into the cache.
-  void ClearCaches() { leaf_cache_->Clear(); }
+  /// Drops every cached leaf fit and stage-memo entry (e.g. after a snapshot
+  /// refresh made cached entries unreachable and memory matters). Must not
+  /// be called while a run is in flight — runs hold pointers into the cache.
+  void ClearCaches() {
+    leaf_cache_->Clear();
+    stage_memo_->Clear();
+  }
+
+  /// Drops the stage memo only: the next repeat re-runs phases 1–3, with
+  /// every leaf fit still served from the warm fit cache. Safe while runs
+  /// are in flight (memo hits hold their own handles).
+  void ClearStageMemo() { stage_memo_->Clear(); }
 
  private:
   friend class CharlesEngine;
@@ -301,6 +330,7 @@ class EngineContext {
   int num_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<SharedLeafFitCache> leaf_cache_;
+  std::unique_ptr<StageMemoCache> stage_memo_;
   std::atomic<int64_t> runs_completed_{0};
 
   int max_concurrent_runs_ = 0;

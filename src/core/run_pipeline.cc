@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
 #include <set>
 #include <unordered_set>
 
@@ -24,33 +23,6 @@
 namespace charles {
 
 namespace {
-
-/// True if the summary's transformations read the target's own old value —
-/// the natural "update semantics" phrasing (new_bonus = f(old_bonus, ...)).
-bool UsesOldTarget(const ChangeSummary& summary) {
-  const auto& attrs = summary.transform_attributes();
-  return std::find(attrs.begin(), attrs.end(), summary.target_attribute()) !=
-         attrs.end();
-}
-
-/// Score-descending with deterministic tie-breaks: fewer CTs, then
-/// self-referential transformations, then text. Scores are quantized to a
-/// 1e-7 grid so floating-point noise cannot override the semantic
-/// tie-breaks (quantization keeps the comparison a strict weak order).
-int64_t QuantizedScore(const ChangeSummary& s) {
-  return static_cast<int64_t>(std::llround(s.scores().score * 1e7));
-}
-
-bool SummaryOrder(const ChangeSummary& a, const ChangeSummary& b) {
-  int64_t qa = QuantizedScore(a);
-  int64_t qb = QuantizedScore(b);
-  if (qa != qb) return qa > qb;
-  if (a.num_cts() != b.num_cts()) return a.num_cts() < b.num_cts();
-  bool a_old = UsesOldTarget(a);
-  bool b_old = UsesOldTarget(b);
-  if (a_old != b_old) return a_old;
-  return a.Signature() < b.Signature();
-}
 
 uint64_t FnvMixDoubles(uint64_t h, const std::vector<double>& values) {
   for (double v : values) {
@@ -112,6 +84,74 @@ uint64_t ComputeRunFingerprint(const CharlesOptions& options,
   h = FnvMixDoubles(h, y_old);
   h = FnvMixDoubles(h, y_new);
   return h;
+}
+
+/// \brief Stage-memo key of phases 1–2: a hash of exactly what they read.
+///
+/// Phase 1 reads the transformation columns, y_old, y_new, the T-subsets and
+/// the shortlist moments (which depend on use_sufficient_stats and the block
+/// size), plus max_clusters and seed. Phase 2 reads the condition columns
+/// (type, validity and values), the C-subsets, the labelings, the tree depth,
+/// min_partition_size and max_partitions. Setup's option fields reach these
+/// stages only through its products, which are hashed instead.
+uint64_t ComputeSearchKey(const RunState& state) {
+  const CharlesOptions& options = state.options;
+  uint64_t h = FnvMixString(kFnvOffsetBasis, "search");
+  h = FnvMixString(h, options.target_attribute);
+  const int64_t knobs[] = {
+      state.analysis->num_rows(),
+      options.use_sufficient_stats ? 1 : 0,
+      options.use_sufficient_stats ? options.stats_block_rows : 0,
+      static_cast<int64_t>(options.seed),
+      options.max_clusters,
+      options.tree_max_depth > 0 ? options.tree_max_depth
+                                 : options.max_condition_attrs,
+      options.min_partition_size,
+      options.max_partitions};
+  h = FnvMixBytes(h, knobs, sizeof(knobs));
+  for (const std::string& name : state.tran_names) {
+    h = FnvMixString(h, name);
+    const std::vector<double>* values = state.tran_columns.Find(name);
+    if (values != nullptr) h = FnvMixDoubles(h, *values);
+  }
+  for (size_t c = 0; c < state.cond_names.size(); ++c) {
+    h = FnvMixString(h, state.cond_names[c]);
+    const int64_t index = state.cond_indices[c];
+    h = FnvMixBytes(h, &index, sizeof(index));
+    h = state.analysis->column(state.cond_indices[c]).HashInto(h);
+  }
+  for (const auto* subsets : {&state.c_subsets, &state.t_subsets}) {
+    const uint64_t count = subsets->size();
+    h = FnvMixBytes(h, &count, sizeof(count));
+    for (const std::vector<int>& subset : *subsets) {
+      const uint64_t size = subset.size();
+      h = FnvMixBytes(h, &size, sizeof(size));
+      h = FnvMixBytes(h, subset.data(), subset.size() * sizeof(int));
+    }
+  }
+  h = FnvMixDoubles(h, state.y_old);
+  return FnvMixDoubles(h, state.y_new);
+}
+
+/// Stage-memo key of phase 3: the search key plus the leaf-fit fingerprint,
+/// which covers everything a fit and its score read beyond the partitions.
+uint64_t ComputeRankingKey(const RunState& state) {
+  const uint64_t parts[] = {state.search_key, state.fingerprint};
+  return FnvMixBytes(FnvMixString(kFnvOffsetBasis, "ranking"), parts,
+                     sizeof(parts));
+}
+
+/// Looks up one stage-memo entry and counts the outcome in the metrics
+/// registry.
+StageMemoValue LookupStageMemo(const RunState& state, uint64_t key) {
+  static obs::Counter* const hits =
+      obs::MetricsRegistry::Global().counter("engine.stage_memo_hits");
+  static obs::Counter* const misses =
+      obs::MetricsRegistry::Global().counter("engine.stage_memo_misses");
+  StageMemoValue value;
+  const bool found = state.context->stage_memo()->Lookup(key, &value);
+  (found ? hits : misses)->Increment();
+  return value;
 }
 
 /// The run's shard backend, constructed on first use and owned by the
@@ -345,6 +385,22 @@ Status RunPipeline::Phase1Signals(RunState& state) {
   if (state.recorder != nullptr) state.recorder->set_trace_id(state.run_id);
   obs::RunIdScope run_scope(state.run_id);
 
+  // Stage memo: a context that already ran phases 1–2 on these exact
+  // inputs hands back their products; Phase2Trees adopts the partitions.
+  if (state.context != nullptr) {
+    state.search_key = ComputeSearchKey(state);
+    StageMemoValue memo = LookupStageMemo(state, state.search_key);
+    if (memo.search != nullptr) {
+      state.search_memo = std::move(memo.search);
+      state.shortlist_stats = state.search_memo->shortlist_stats;
+      state.labelings = state.search_memo->labelings;
+      state.t_attr_names = state.search_memo->t_attr_names;
+      state.result.stage_memo_phase12_hits = 1;
+      state.result.labelings = static_cast<int64_t>(state.labelings.size());
+      return Status::OK();
+    }
+  }
+
   // Sufficient statistics of the full transformation shortlist over all
   // rows, accumulated through the canonical block fold (AccumulateRowBlocks)
   // every other stats producer uses. Phase 1 solves every T-subset's global
@@ -468,6 +524,11 @@ Status RunPipeline::Phase1Signals(RunState& state) {
 
 Status RunPipeline::Phase2Trees(RunState& state) {
   const CharlesOptions& options = state.options;
+  if (state.search_memo != nullptr) {
+    state.partitions = state.search_memo->partitions;
+    state.result.partitions = static_cast<int64_t>(state.partitions->size());
+    return Status::OK();
+  }
 
   // One tree per (C, labeling), partitions deduplicated globally by their
   // condition signature. Workers fan out over C-subsets against the shared
@@ -507,29 +568,41 @@ Status RunPipeline::Phase2Trees(RunState& state) {
         return out;
       });
 
+  std::vector<PartitionEntry> partitions;
   std::set<std::string> seen_partitions;
   for (CSubsetCandidates& c_result : per_c) {
     for (size_t i = 0; i < c_result.candidates.size(); ++i) {
       if (!seen_partitions.insert(c_result.signatures[i]).second) continue;
-      state.partitions.push_back(RunState::PartitionEntry{
-          std::move(c_result.candidates[i]), c_result.attr_names});
+      partitions.push_back(
+          PartitionEntry{std::move(c_result.candidates[i]), c_result.attr_names});
     }
   }
 
   // Bound the search: keep the partitionings whose conditions describe
   // their source clusters best (deterministic order).
-  if (static_cast<int>(state.partitions.size()) > options.max_partitions) {
-    std::stable_sort(state.partitions.begin(), state.partitions.end(),
-                     [](const RunState::PartitionEntry& a,
-                        const RunState::PartitionEntry& b) {
+  if (static_cast<int>(partitions.size()) > options.max_partitions) {
+    std::stable_sort(partitions.begin(), partitions.end(),
+                     [](const PartitionEntry& a, const PartitionEntry& b) {
                        double aa = a.candidate.label_agreement;
                        double bb = b.candidate.label_agreement;
                        if (aa != bb) return aa > bb;
                        return a.candidate.leaves.size() < b.candidate.leaves.size();
                      });
-    state.partitions.resize(static_cast<size_t>(options.max_partitions));
+    partitions.resize(static_cast<size_t>(options.max_partitions));
   }
-  state.result.partitions = static_cast<int64_t>(state.partitions.size());
+  state.partitions =
+      std::make_shared<const std::vector<PartitionEntry>>(std::move(partitions));
+  state.result.partitions = static_cast<int64_t>(state.partitions->size());
+
+  if (state.context != nullptr) {
+    auto memo = std::make_shared<SearchSpaceMemo>();
+    memo->shortlist_stats = state.shortlist_stats;
+    memo->labelings = state.labelings;
+    memo->t_attr_names = state.t_attr_names;
+    memo->partitions = state.partitions;
+    state.context->stage_memo()->Insert(state.search_key,
+                                        StageMemoValue{std::move(memo), nullptr});
+  }
   return Status::OK();
 }
 
@@ -584,7 +657,7 @@ Status RunShardRounds(
   // (stats are T-independent), so each is scanned once regardless of how
   // many condition trees share it.
   std::unordered_set<std::vector<int64_t>, RowIndicesHash> seen_leaves;
-  for (const RunState::PartitionEntry& entry : state.partitions) {
+  for (const PartitionEntry& entry : *state.partitions) {
     for (const DecisionTree::Leaf& leaf : entry.candidate.leaves) {
       if (seen_leaves.insert(leaf.rows.indices()).second) {
         shard_input.leaves.push_back(&leaf.rows);
@@ -727,7 +800,7 @@ Status RunCentralBatchSweep(
   // partition enumeration order, warm-cache-elided leaves never swept.
   std::vector<const RowSet*> candidates;
   std::unordered_set<std::vector<int64_t>, RowIndicesHash> seen_leaves;
-  for (const RunState::PartitionEntry& entry : state.partitions) {
+  for (const PartitionEntry& entry : *state.partitions) {
     for (const DecisionTree::Leaf& leaf : entry.candidate.leaves) {
       if (!seen_leaves.insert(leaf.rows.indices()).second) continue;
       if (AllLeafFitsCached(state, leaf.rows, t_count)) continue;
@@ -803,13 +876,29 @@ Status RunPipeline::Phase3Fits(RunState& state) {
   const CharlesOptions& options = state.options;
   const CharlesEngine& engine = state.engine;
   const int64_t t_count = static_cast<int64_t>(state.t_attr_names.size());
-  state.work_items = static_cast<int64_t>(state.partitions.size()) * t_count;
+  state.work_items = static_cast<int64_t>(state.partitions->size()) * t_count;
 
   // The run's one Scorer — the single y_old/y_new copy of the whole sweep
   // (BuildSummary used to construct one per candidate). Built before the
   // shard rounds: its exactness band is what the kScorePartials round ships
-  // to workers.
+  // to workers. A memo hit keeps it for rebuilding the winners.
   state.scorer = std::make_unique<Scorer>(options, state.y_old, state.y_new);
+
+  // Stage memo: the ranking records of an identical earlier sweep make this
+  // one a re-rank — no shard round, no fit, no summary (RankStream rebuilds
+  // only the winners, from the leaf-fit cache).
+  uint64_t ranking_key = 0;
+  if (state.context != nullptr) {
+    ranking_key = ComputeRankingKey(state);
+    StageMemoValue memo = LookupStageMemo(state, ranking_key);
+    if (memo.records != nullptr) {
+      state.rank_records = std::move(memo.records);
+      state.shared_cache = state.context->leaf_cache();
+      state.stream_merge.completed.store(state.work_items);
+      state.result.stage_memo_phase3_hits = 1;
+      return Status::OK();
+    }
+  }
 
   // A bounded run-local cache never gets more shards than entries (the
   // per-shard budget floors at one, which would silently raise the bound).
@@ -925,7 +1014,7 @@ Status RunPipeline::Phase3Fits(RunState& state) {
         if (state.StopRequested()) return out;
         const size_t pi = static_cast<size_t>(item / t_count);
         const size_t ti = static_cast<size_t>(item % t_count);
-        const RunState::PartitionEntry& entry = state.partitions[pi];
+        const PartitionEntry& entry = (*state.partitions)[pi];
         CharlesEngine::LeafStatsWorkspace stats_workspace;
         stats_workspace.shortlist = &state.tran_names;
         stats_workspace.t_subset = &state.t_subsets[ti];
@@ -999,48 +1088,144 @@ Status RunPipeline::Phase3Fits(RunState& state) {
         worker.stats.score_yhat_materializations;
     state.result.score_leaf_folds += worker.stats.score_leaf_folds;
   }
+
+  // Reduce every built summary to its ranking record, in item order; the
+  // summaries stay in `outputs` until RankStream moves out the winners.
+  auto records = std::make_shared<std::vector<RankRecord>>();
+  records->reserve(state.outputs.size());
+  for (size_t item = 0; item < state.outputs.size(); ++item) {
+    RunState::WorkItemOutput& out = state.outputs[item];
+    if (!out.ok) continue;
+    records->push_back(MakeRankRecord(
+        out.summary, std::move(out.signature),
+        static_cast<int32_t>(static_cast<int64_t>(item) / t_count),
+        static_cast<int32_t>(static_cast<int64_t>(item) % t_count)));
+  }
+  state.rank_records = records;
+  if (state.context != nullptr) {
+    state.context->stage_memo()->Insert(ranking_key,
+                                        StageMemoValue{nullptr, std::move(records)});
+  }
   return Status::OK();
 }
 
 // --- Stage: RankStream ------------------------------------------------------
 
+namespace {
+
+/// \brief Rebuilds the winners of a phase-3 memo hit through BuildSummary.
+///
+/// Every leaf fit comes from the context's fit cache; an evicted one is
+/// refitted from the same inputs on the central path, which the determinism
+/// contract makes bit-identical to the sweep that first fitted it. The
+/// summaries are scored by the run's Scorer, as the cold sweep scored them.
+Result<std::vector<ChangeSummary>> RebuildWinners(
+    RunState& state, const std::vector<RankRecord>& records,
+    const std::vector<size_t>& winners) {
+  SharedLeafStatsCache stats_cache(1);
+  if (state.shortlist_stats != nullptr) {
+    stats_cache.Insert(LeafKey{state.fingerprint, 0,
+                               RowSet::All(state.analysis->num_rows()).indices()},
+                       state.shortlist_stats);
+  }
+  CharlesEngine::LeafStatsCache local_stats;
+  CharlesEngine::LeafFitStats fit_stats;
+  std::vector<ChangeSummary> rebuilt;
+  rebuilt.reserve(winners.size());
+  for (size_t winner : winners) {
+    const RankRecord& record = records[winner];
+    const size_t ti = static_cast<size_t>(record.t_index);
+    const PartitionEntry& entry =
+        (*state.partitions)[static_cast<size_t>(record.partition_index)];
+    CharlesEngine::LeafStatsWorkspace workspace;
+    workspace.shortlist = &state.tran_names;
+    workspace.t_subset = &state.t_subsets[ti];
+    workspace.local = &local_stats;
+    workspace.shared = &stats_cache;
+    workspace.fingerprint = state.fingerprint;
+    workspace.block_rows = state.options.stats_block_rows;
+    workspace.score_tolerance = state.scorer->exact_tolerance();
+    CharlesEngine::LeafFitCache local_fits;
+    CHARLES_ASSIGN_OR_RETURN(
+        ChangeSummary summary,
+        state.engine.BuildSummary(*state.analysis, state.y_old, state.y_new,
+                                  entry.candidate, state.t_attr_names[ti],
+                                  entry.condition_attrs, &local_fits,
+                                  state.shared_cache, ti, &fit_stats,
+                                  state.fingerprint, &state.tran_columns,
+                                  &workspace, state.scorer.get()));
+    if (summary.Signature() != record.signature) {
+      return Status::Internal(
+          "stage memo: a rebuilt winner does not match its ranking record");
+    }
+    rebuilt.push_back(std::move(summary));
+  }
+  state.result.leaf_fits_computed += fit_stats.computed;
+  state.result.leaf_fits_reused += fit_stats.local_hits + fit_stats.shared_hits;
+  state.result.score_partials_candidates += fit_stats.score_partials_candidates;
+  state.result.score_yhat_materializations += fit_stats.score_yhat_materializations;
+  state.result.score_leaf_folds += fit_stats.score_leaf_folds;
+  return rebuilt;
+}
+
+}  // namespace
+
 Status RunPipeline::RankStream(RunState& state) {
   SummaryList& result = state.result;
+  const CharlesOptions& options = state.options;
+  const std::vector<RankRecord>& records = *state.rank_records;
+
+  // One ranking for cold runs and memo hits alike: interpretability and
+  // score are recombined from the records under this run's weights and
+  // alpha, so a re-rank yields the bits a cold run under these options would.
+  RankedRecords ranked =
+      RankRecords(records, options.weights, options.alpha, options.top_n);
+  result.candidates_evaluated = ranked.evaluated;
+  result.candidates_deduped = ranked.deduped;
+
+  // Materialize only the winners: a cold run moves them out of the sweep's
+  // outputs, a memo hit rebuilds them.
+  const bool memo_hit = result.stage_memo_phase3_hits > 0;
+  std::vector<ChangeSummary> winners;
+  if (memo_hit) {
+    CHARLES_ASSIGN_OR_RETURN(winners,
+                             RebuildWinners(state, records, ranked.winners));
+  } else {
+    const int64_t t_count = static_cast<int64_t>(state.t_attr_names.size());
+    winners.reserve(ranked.winners.size());
+    for (size_t winner : ranked.winners) {
+      const RankRecord& record = records[winner];
+      const size_t item =
+          static_cast<size_t>(record.partition_index * t_count + record.t_index);
+      winners.push_back(std::move(state.outputs[item].summary));
+    }
+  }
+  result.summaries.reserve(winners.size());
+  for (size_t k = 0; k < winners.size(); ++k) {
+    winners[k].set_scores(ranked.scores[k]);
+    result.summaries.push_back(std::move(winners[k]));
+  }
+
+  // A memo hit ran no sweep, so it streams its one final update here.
+  if (memo_hit && state.stream != nullptr && state.work_items > 0) {
+    SummaryStreamUpdate update;
+    update.shards_completed = state.work_items;
+    update.shards_total = state.work_items;
+    update.elapsed_seconds = state.ElapsedSeconds();
+    update.provisional = result.summaries;
+    state.stream->Emit(update);
+  }
 
   // Cache bound: a context's cache is trimmed (LRU) at the end of each run
   // when the engine options cap it — the context-level bound, if any, was
   // already enforced on every insert. The run-local cache was constructed
   // with the bound.
-  if (state.context != nullptr && state.options.max_cache_entries > 0) {
+  if (state.context != nullptr && options.max_cache_entries > 0) {
     state.context->leaf_cache()->TrimToSize(
-        static_cast<size_t>(state.options.max_cache_entries));
+        static_cast<size_t>(options.max_cache_entries));
   }
   if (state.shared_cache != nullptr) {
     result.leaf_fit_evictions = state.shared_cache->evictions();
-  }
-
-  std::map<std::string, ChangeSummary> best_by_signature;
-  for (RunState::WorkItemOutput& built : state.outputs) {
-    if (!built.ok) continue;
-    ++result.candidates_evaluated;
-    auto it = best_by_signature.find(built.signature);
-    if (it == best_by_signature.end()) {
-      best_by_signature.emplace(std::move(built.signature), std::move(built.summary));
-    } else {
-      ++result.candidates_deduped;
-      if (SummaryOrder(built.summary, it->second)) {
-        it->second = std::move(built.summary);
-      }
-    }
-  }
-
-  result.summaries.reserve(best_by_signature.size());
-  for (auto& [signature, summary] : best_by_signature) {
-    result.summaries.push_back(std::move(summary));
-  }
-  std::sort(result.summaries.begin(), result.summaries.end(), SummaryOrder);
-  if (static_cast<int>(result.summaries.size()) > state.options.top_n) {
-    result.summaries.resize(static_cast<size_t>(state.options.top_n));
   }
   return Status::OK();
 }
@@ -1049,14 +1234,14 @@ Status RunPipeline::RankStream(RunState& state) {
 
 const RunPipeline::StageSpec* RunPipeline::Stages(size_t* count) {
   static const StageSpec kStages[] = {
-      {"diff/align", &RunPipeline::DiffAlign, nullptr},
-      {"setup", &RunPipeline::Setup, nullptr},
+      {"diff/align", &RunPipeline::DiffAlign, &SummaryList::diff_seconds},
+      {"setup", &RunPipeline::Setup, &SummaryList::setup_seconds},
       {"phase 1 (signals)", &RunPipeline::Phase1Signals,
        &SummaryList::clustering_seconds},
       {"phase 2 (trees)", &RunPipeline::Phase2Trees,
        &SummaryList::induction_seconds},
       {"phase 3 (fits)", &RunPipeline::Phase3Fits, &SummaryList::fitting_seconds},
-      {"rank/stream", &RunPipeline::RankStream, nullptr},
+      {"rank/stream", &RunPipeline::RankStream, &SummaryList::rank_seconds},
   };
   *count = sizeof(kStages) / sizeof(kStages[0]);
   return kStages;
@@ -1142,12 +1327,10 @@ Result<SummaryList> RunPipeline::Run(const CharlesEngine& engine,
       obs::RunIdScope run_scope(state.run_id);
       status = stages[s].fn(state);
     }
-    if (stages[s].timing != nullptr) {
-      state.result.*(stages[s].timing) =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        stage_start)
-              .count();
-    }
+    state.result.*(stages[s].timing) =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      stage_start)
+            .count();
     if (!status.ok()) {
       // Stages route their own cancellations through RunState::Cancelled;
       // this is the belt-and-braces for one that did not.

@@ -20,9 +20,19 @@
 ///  - **Phase2Trees** — condition-tree induction and partition dedup;
 ///  - **Phase3Fits** — the (partition, T) transformation sweep, preceded by
 ///    the distributed kLeafMoments / kScorePartials rounds (with warm-cache
-///    elision) when sharding is on;
-///  - **RankStream** — deterministic best-by-signature reduction, ranking,
-///    truncation, and diagnostics fold.
+///    elision) when sharding is on; reduces every built summary to a compact
+///    RankRecord (core/ranking.h);
+///  - **RankStream** — deterministic best-by-signature reduction over the
+///    records, ranking, truncation, winner materialization, and diagnostics
+///    fold.
+///
+/// With an EngineContext attached, phases 1–3 consult the context's stage
+/// memo (core/stage_memo.h): Phase1Signals looks up the phase-1/2 products
+/// right after it computes the run id, Phase2Trees adopts them on a hit, and
+/// Phase3Fits looks up the run's ranking records before it plans any shard
+/// round. A full hit leaves RankStream to re-rank the records under the
+/// run's alpha, weights and top_n and rebuild the winners from the leaf-fit
+/// cache. Runs without a context never touch the memo.
 ///
 /// The *driver* (RunPipeline::Run) owns everything the stages used to
 /// re-implement per call site: admission control, pool spawn/attach, stage
@@ -50,8 +60,10 @@
 #include "core/engine.h"
 #include "core/engine_context.h"
 #include "core/partition_finder.h"
+#include "core/ranking.h"
 #include "core/scoring.h"
 #include "core/setup_assistant.h"
+#include "core/stage_memo.h"
 #include "core/stop_token.h"
 #include "diff/diff.h"
 #include "distributed/backend.h"
@@ -138,15 +150,18 @@ struct RunState {
   uint64_t run_id = 0;
   std::vector<std::vector<int>> labelings;
   std::vector<std::vector<std::string>> t_attr_names;  ///< names per T-subset
+  /// Stage-memo key of phases 1–2: a hash of exactly what they read (see
+  /// core/stage_memo.h). 0 without a context, which never memoizes.
+  uint64_t search_key = 0;
+  /// The phase-1/2 memo entry this run adopted; null on a miss.
+  std::shared_ptr<const SearchSpaceMemo> search_memo;
   /// @}
 
   /// \name Phase2Trees products.
   /// @{
-  struct PartitionEntry {
-    PartitionCandidate candidate;
-    std::vector<std::string> condition_attrs;
-  };
-  std::vector<PartitionEntry> partitions;
+  using PartitionEntry = ::charles::PartitionEntry;
+  /// Shared so a memo hit adopts the memoized partitions without a copy.
+  std::shared_ptr<const std::vector<PartitionEntry>> partitions;
   /// @}
 
   /// \name Phase3Fits products.
@@ -156,8 +171,13 @@ struct RunState {
     ChangeSummary summary;
     bool ok = false;
   };
-  std::vector<WorkItemOutput> outputs;  ///< one per (partition, T), item order
+  /// One per (partition, T), item order; empty after a phase-3 memo hit.
+  std::vector<WorkItemOutput> outputs;
   int64_t work_items = 0;               ///< |partitions| × |T-subsets|
+  /// What RankStream ranks: one record per successfully built work item, in
+  /// item order — built from `outputs` on a cold run, adopted from the stage
+  /// memo on a hit.
+  std::shared_ptr<const std::vector<RankRecord>> rank_records;
   /// Run-local cross-worker fit cache (used when no context is attached)
   /// and the tier the sweep actually published to (context cache or the
   /// run-local one) — RankStream reads eviction counts from it.
@@ -240,8 +260,7 @@ class RunPipeline {
   struct StageSpec {
     const char* name;
     Status (*fn)(RunState&);
-    /// Which SummaryList timing field the stage's wall time lands in
-    /// (nullptr: counted only in elapsed_seconds).
+    /// Which SummaryList timing field the stage's wall time lands in.
     double SummaryList::*timing;
   };
 

@@ -9,6 +9,32 @@
 
 namespace charles {
 
+double BlendInterpretability(const ScoreBreakdown& subscores,
+                             const ScoreWeights& weights, int num_cts) {
+  const ScoreWeights& w = weights;
+  double weight_sum = w.summary_size + w.condition_simplicity + w.transform_simplicity +
+                      w.coverage + w.normality;
+  double interpretability =
+      (w.summary_size * subscores.summary_size +
+       w.condition_simplicity * subscores.condition_simplicity +
+       w.transform_simplicity * subscores.transform_simplicity +
+       w.coverage * subscores.coverage + w.normality * subscores.normality) /
+      weight_sum;
+  // Readability budget: past ~10 CTs a summary is a change log, not an
+  // explanation — no per-CT simplicity can compensate (this is what sinks
+  // the exhaustive cell-level diff in experiment E6). Within the budget the
+  // factor is 1 and the weighted blend above is untouched.
+  constexpr double kReadabilityBudget = 10.0;
+  if (static_cast<double>(num_cts) > kReadabilityBudget) {
+    interpretability *= kReadabilityBudget / static_cast<double>(num_cts);
+  }
+  return interpretability;
+}
+
+double BlendScore(double accuracy, double interpretability, double alpha) {
+  return alpha * accuracy + (1.0 - alpha) * interpretability;
+}
+
 Scorer::Scorer(const CharlesOptions& options, std::vector<double> y_old,
                std::vector<double> y_new)
     : options_(options),  // copied: see header
@@ -100,23 +126,8 @@ ScoreBreakdown Scorer::InterpretabilityOnly(const ChangeSummary& summary) const 
         n > 0 ? std::min(1.0, static_cast<double>(covered) / static_cast<double>(n)) : 0.0;
   }
 
-  const ScoreWeights& w = options_.weights;
-  double weight_sum = w.summary_size + w.condition_simplicity + w.transform_simplicity +
-                      w.coverage + w.normality;
   breakdown.interpretability =
-      (w.summary_size * breakdown.summary_size +
-       w.condition_simplicity * breakdown.condition_simplicity +
-       w.transform_simplicity * breakdown.transform_simplicity +
-       w.coverage * breakdown.coverage + w.normality * breakdown.normality) /
-      weight_sum;
-  // Readability budget: past ~10 CTs a summary is a change log, not an
-  // explanation — no per-CT simplicity can compensate (this is what sinks
-  // the exhaustive cell-level diff in experiment E6). Within the budget the
-  // factor is 1 and the weighted blend above is untouched.
-  constexpr double kReadabilityBudget = 10.0;
-  if (!cts.empty() && static_cast<double>(cts.size()) > kReadabilityBudget) {
-    breakdown.interpretability *= kReadabilityBudget / static_cast<double>(cts.size());
-  }
+      BlendInterpretability(breakdown, options_.weights, summary.num_cts());
   return breakdown;
 }
 
@@ -124,8 +135,8 @@ ScoreBreakdown Scorer::Score(const ChangeSummary& summary,
                              const std::vector<double>& y_hat) const {
   ScoreBreakdown breakdown = InterpretabilityOnly(summary);
   breakdown.accuracy = Accuracy(y_hat);
-  breakdown.score = options_.alpha * breakdown.accuracy +
-                    (1.0 - options_.alpha) * breakdown.interpretability;
+  breakdown.score =
+      BlendScore(breakdown.accuracy, breakdown.interpretability, options_.alpha);
   return breakdown;
 }
 
@@ -134,8 +145,8 @@ ScoreBreakdown Scorer::ScoreFromPartials(const ChangeSummary& summary,
   CHARLES_CHECK_EQ(static_cast<size_t>(partials.n), y_new_.size());
   ScoreBreakdown breakdown = InterpretabilityOnly(summary);
   breakdown.accuracy = AccuracyFromPartials(partials);
-  breakdown.score = options_.alpha * breakdown.accuracy +
-                    (1.0 - options_.alpha) * breakdown.interpretability;
+  breakdown.score =
+      BlendScore(breakdown.accuracy, breakdown.interpretability, options_.alpha);
   return breakdown;
 }
 

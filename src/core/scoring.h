@@ -9,6 +9,19 @@
 
 namespace charles {
 
+/// \brief Interpretability(S) from its five sub-scores: the weighted mean
+/// under `weights`, scaled by 10/#CTs past the readability budget of 10 CTs.
+///
+/// The one place the weights are applied. Scorer calls it when it scores a
+/// summary and the ranking calls it when it re-ranks stored sub-scores under
+/// new weights (core/ranking.h), so both produce the same bits.
+double BlendInterpretability(const ScoreBreakdown& subscores,
+                             const ScoreWeights& weights, int num_cts);
+
+/// \brief Score(S) = α · accuracy + (1 − α) · interpretability — the one
+/// place α is applied (shared with the ranking, like BlendInterpretability).
+double BlendScore(double accuracy, double interpretability, double alpha);
+
 /// \brief Computes Score(S) = α · Accuracy(S) + (1 − α) · Interpretability(S).
 ///
 /// **Accuracy** blends two [0, 1] views of the paper's "inverse L1 distance

@@ -27,6 +27,8 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
   d.leaf_fits_computed = summary.leaf_fits_computed;
   d.leaf_fits_reused = summary.leaf_fits_reused;
   d.leaf_fit_evictions = summary.leaf_fit_evictions;
+  d.stage_memo_phase12_hits = summary.stage_memo_phase12_hits;
+  d.stage_memo_phase3_hits = summary.stage_memo_phase3_hits;
 
   d.shards_used = summary.shards_used;
   d.shard_rows_scanned = summary.shard_rows_scanned;
@@ -47,9 +49,12 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
   d.remote_workers = summary.remote_workers;
 
   d.elapsed_seconds = summary.elapsed_seconds;
+  d.diff_seconds = summary.diff_seconds;
+  d.setup_seconds = summary.setup_seconds;
   d.clustering_seconds = summary.clustering_seconds;
   d.induction_seconds = summary.induction_seconds;
   d.fitting_seconds = summary.fitting_seconds;
+  d.rank_seconds = summary.rank_seconds;
   d.shard_seconds = summary.shard_seconds;
   d.shard_signal_seconds = summary.shard_signal_seconds;
   d.shard_moments_seconds = summary.shard_moments_seconds;
@@ -86,6 +91,11 @@ std::string RunDiagnostics::ToJson() const {
   w.Key("leaf_fits_computed").Int(leaf_fits_computed);
   w.Key("leaf_fits_reused").Int(leaf_fits_reused);
   w.Key("leaf_fit_evictions").Int(leaf_fit_evictions);
+  w.EndObject();
+
+  w.Key("stage_memo").BeginObject();
+  w.Key("phase12_hits").Int(stage_memo_phase12_hits);
+  w.Key("phase3_hits").Int(stage_memo_phase3_hits);
   w.EndObject();
 
   w.Key("shards").BeginObject();
@@ -127,9 +137,12 @@ std::string RunDiagnostics::ToJson() const {
 
   w.Key("timings_seconds").BeginObject();
   w.Key("elapsed").Double(elapsed_seconds);
+  w.Key("diff").Double(diff_seconds);
+  w.Key("setup").Double(setup_seconds);
   w.Key("clustering").Double(clustering_seconds);
   w.Key("induction").Double(induction_seconds);
   w.Key("fitting").Double(fitting_seconds);
+  w.Key("rank").Double(rank_seconds);
   w.Key("shard").Double(shard_seconds);
   w.Key("shard_signal").Double(shard_signal_seconds);
   w.Key("shard_moments").Double(shard_moments_seconds);

@@ -27,8 +27,10 @@ namespace obs {
 /// Machine-readable diagnostics of one run. Construct with FromSummary;
 /// serialize with ToJson (SummaryList::ToJson delegates here).
 struct RunDiagnostics {
-  /// Bumped only on a breaking change (key removed or renamed).
-  static constexpr int kSchemaVersion = 1;
+  /// Bumped only on a breaking change (key removed or renamed, or a key's
+  /// meaning changed). Version 2: `timings_seconds` lists all six pipeline
+  /// stages, which now sum to `elapsed`.
+  static constexpr int kSchemaVersion = 2;
 
   std::string run_id;        ///< 16-hex run fingerprint
   int64_t summaries = 0;     ///< ranked summaries returned
@@ -53,6 +55,10 @@ struct RunDiagnostics {
   int64_t leaf_fits_reused = 0;
   int64_t leaf_fit_evictions = 0;
 
+  // Stage memo (EngineContext runs).
+  int64_t stage_memo_phase12_hits = 0;
+  int64_t stage_memo_phase3_hits = 0;
+
   // Sharded execution.
   int shards_used = 0;
   int64_t shard_rows_scanned = 0;
@@ -76,9 +82,12 @@ struct RunDiagnostics {
 
   // Wall times (seconds). Stages that did not run report exactly 0.
   double elapsed_seconds = 0.0;
+  double diff_seconds = 0.0;
+  double setup_seconds = 0.0;
   double clustering_seconds = 0.0;
   double induction_seconds = 0.0;
   double fitting_seconds = 0.0;
+  double rank_seconds = 0.0;
   double shard_seconds = 0.0;
   double shard_signal_seconds = 0.0;
   double shard_moments_seconds = 0.0;

@@ -1,7 +1,9 @@
 #include "table/column.h"
 
+#include <type_traits>
 #include <unordered_set>
 
+#include "common/fnv.h"
 #include "common/logging.h"
 
 namespace charles {
@@ -240,6 +242,30 @@ std::vector<Value> Column::DistinctValues() const {
     if (seen.insert(v).second) out.push_back(std::move(v));
   }
   return out;
+}
+
+uint64_t Column::HashInto(uint64_t h) const {
+  const uint64_t header[2] = {static_cast<uint64_t>(type_), validity_.size()};
+  h = FnvMixBytes(h, header, sizeof(header));
+  h = FnvMixBytes(h, validity_.data(), validity_.size());
+  std::visit(
+      [&](const auto& values) {
+        using Values = std::decay_t<decltype(values)>;
+        if constexpr (!std::is_same_v<Values, std::monostate>) {
+          for (size_t i = 0; i < values.size(); ++i) {
+            if (validity_[i] == 0) continue;
+            if constexpr (std::is_same_v<Values, std::vector<std::string>>) {
+              const uint64_t len = values[i].size();
+              h = FnvMixBytes(h, values[i].data(), values[i].size());
+              h = FnvMixBytes(h, &len, sizeof(len));
+            } else {
+              h = FnvMixBytes(h, &values[i], sizeof(values[i]));
+            }
+          }
+        }
+      },
+      data_);
+  return h;
 }
 
 bool Column::Equals(const Column& other) const {

@@ -72,6 +72,11 @@ class Column {
 
   bool Equals(const Column& other) const;
 
+  /// Folds the column's type, validity and cell values into the running
+  /// FNV-1a hash `h` (common/fnv.h). Columns that are Equals() hash alike;
+  /// NULL cells hash their validity byte only.
+  uint64_t HashInto(uint64_t h) const;
+
  private:
   using Storage = std::variant<std::monostate,            // kNull
                                std::vector<int64_t>,      // kInt64

@@ -84,6 +84,27 @@ class BoundedSummaryService {
   charles::EngineContext context_;  // long-lived: the bound is its point
 };
 
+// --- docs/api.md "Re-ranking: alpha, weights and top_n" ---------------------
+
+#include <vector>
+
+// Walks the accuracy–interpretability trade-off on one snapshot pair: the
+// first query runs the search, the later ones only re-rank.
+charles::Result<std::vector<charles::SummaryList>> AlphaSweep(
+    const charles::Table& source, const charles::Table& target,
+    charles::CharlesOptions options, charles::EngineContext* context) {
+  std::vector<charles::SummaryList> rankings;
+  for (double alpha : {0.5, 0.2, 0.8}) {
+    options.alpha = alpha;
+    charles::Result<charles::SummaryList> ranking =
+        charles::SummarizeChanges(source, target, options, context);
+    if (!ranking.ok()) return ranking.status();
+    // From the second query on: ranking->stage_memo_phase3_hits == 1.
+    rankings.push_back(std::move(*ranking));
+  }
+  return rankings;
+}
+
 // --- docs/api.md "Streaming" -----------------------------------------------
 
 #include <cstdio>
@@ -193,7 +214,7 @@ charles::Result<std::string> DiagnosticsJson(const charles::Table& source,
   charles::Result<charles::SummaryList> result =
       charles::SummarizeChanges(source, target, options);
   if (!result.ok()) return result.status();
-  return result->ToJson();  // {"schema_version":1,"run_id":"…",…}
+  return result->ToJson();  // {"schema_version":2,"run_id":"…",…}
 }
 
 // --- docs/observability.md "Log correlation" --------------------------------
@@ -278,6 +299,32 @@ TEST(DocsSnippetsTest, ServingSnippetWarmsAcrossQueries) {
   ASSERT_EQ(cold.summaries.size(), warm.summaries.size());
   for (size_t i = 0; i < cold.summaries.size(); ++i) {
     EXPECT_EQ(cold.summaries[i].ToString(), warm.summaries[i].ToString());
+  }
+}
+
+TEST(DocsSnippetsTest, AlphaSweepSnippetReRanksFromTheMemo) {
+  Table source = MakeExample1Source().ValueOrDie();
+  Table target = MakeExample1Target().ValueOrDie();
+  CharlesOptions options;
+  options.target_attribute = "bonus";
+  options.key_columns = {"name"};
+
+  EngineContext context;
+  std::vector<SummaryList> rankings =
+      AlphaSweep(source, target, options, &context).ValueOrDie();
+  ASSERT_EQ(rankings.size(), 3u);
+  const double alphas[] = {0.5, 0.2, 0.8};
+  for (size_t r = 0; r < rankings.size(); ++r) {
+    EXPECT_EQ(rankings[r].stage_memo_phase3_hits, r > 0 ? 1 : 0);
+    options.alpha = alphas[r];
+    options.num_threads = 1;
+    SummaryList cold = SummarizeChanges(source, target, options).ValueOrDie();
+    ASSERT_EQ(cold.summaries.size(), rankings[r].summaries.size());
+    for (size_t i = 0; i < cold.summaries.size(); ++i) {
+      EXPECT_EQ(cold.summaries[i].ToString(), rankings[r].summaries[i].ToString());
+      EXPECT_EQ(cold.summaries[i].scores().score,
+                rankings[r].summaries[i].scores().score);
+    }
   }
 }
 
@@ -375,7 +422,7 @@ TEST(DocsSnippetsTest, DiagnosticsSnippetEmitsVersionedSchema) {
   options.target_attribute = "bonus";
   options.key_columns = {"name"};
   std::string json = DiagnosticsJson(source, target, options).ValueOrDie();
-  EXPECT_EQ(json.find("{\"schema_version\":1"), 0u);
+  EXPECT_EQ(json.find("{\"schema_version\":2"), 0u);
   EXPECT_NE(json.find("\"run_id\":\""), std::string::npos);
   EXPECT_NE(json.find("\"elapsed\":"), std::string::npos);
 }

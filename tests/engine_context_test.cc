@@ -89,6 +89,9 @@ TEST(EngineContextTest, WarmRunServesFitsFromContextCache) {
   CharlesEngine engine(options, &context);
   SummaryList cold = engine.Find(source, target).ValueOrDie();
   size_t cached_after_cold = context.leaf_cache_entries();
+  // Without the stage memo the repeat re-runs phases 1–3 against the warm
+  // fit cache — the path under test here.
+  context.ClearStageMemo();
   SummaryList warm = engine.Find(source, target).ValueOrDie();
 
   // Cold run computed and published fits; the warm run replays the identical
@@ -96,10 +99,22 @@ TEST(EngineContextTest, WarmRunServesFitsFromContextCache) {
   // cache and nothing new is published.
   EXPECT_GT(cold.leaf_fits_computed, 0);
   EXPECT_GT(cached_after_cold, 0u);
+  EXPECT_EQ(warm.stage_memo_phase3_hits, 0);
   EXPECT_EQ(warm.leaf_fits_computed, 0);
   EXPECT_GT(warm.leaf_fits_reused, cold.leaf_fits_reused);
   EXPECT_EQ(context.leaf_cache_entries(), cached_after_cold);
   EXPECT_GT(context.leaf_cache_hits(), 0);
+
+  // With the memo warm, the next repeat is a re-rank: phases 1–3 are
+  // skipped and only the winners' fits are read back from the cache.
+  SummaryList memo = engine.Find(source, target).ValueOrDie();
+  EXPECT_EQ(memo.stage_memo_phase12_hits, 1);
+  EXPECT_EQ(memo.stage_memo_phase3_hits, 1);
+  EXPECT_EQ(memo.leaf_fits_computed, 0);
+  EXPECT_GT(memo.leaf_fits_reused, 0);
+  EXPECT_LT(memo.leaf_fits_reused, warm.leaf_fits_reused);
+  EXPECT_EQ(context.leaf_cache_entries(), cached_after_cold);
+  ExpectIdenticalRuns(cold, memo);
 }
 
 TEST(EngineContextTest, SerialContextStillWarmsAcrossRuns) {
@@ -181,14 +196,20 @@ TEST(EngineContextTest, BoundedCacheEvictsLruAndStaysCorrect) {
   // nothing about the output — a miss only recomputes the identical fit.
   EngineContextOptions ctx_options;
   ctx_options.cache_shards = 1;  // single shard: the bound is exact
+  // Serial: with several workers, racing duplicate fits reorder the LRU and
+  // the warm/cold fit counts below wobble by a few either way.
+  ctx_options.num_threads = 1;
   ctx_options.max_cache_entries = static_cast<int64_t>(full / 2);
   EngineContext context(ctx_options);
   CharlesEngine engine(options, &context);
   SummaryList cold = engine.Find(source, target).ValueOrDie();
+  // The repeat re-runs the whole sweep against the bounded fit cache.
+  context.ClearStageMemo();
   SummaryList warm = engine.Find(source, target).ValueOrDie();
 
   ExpectIdenticalRuns(fresh, cold);
   ExpectIdenticalRuns(fresh, warm);
+  EXPECT_EQ(warm.stage_memo_phase3_hits, 0);
   EXPECT_LE(context.leaf_cache_entries(), full / 2);
   EXPECT_GT(context.leaf_cache_evictions(), 0);
   // The warm run re-fits evicted entries (never more work than a cold run —
@@ -433,7 +454,11 @@ TEST(EngineContextTest, WarmShardedRunElidesEveryLeafMomentsTask) {
   EngineContext context(ctx_options);
   CharlesEngine engine(options, &context);
   SummaryList cold = engine.Find(source, target).ValueOrDie();
+  // Without the stage memo the repeat reaches the shard rounds, where the
+  // warm fit cache elides the leaves; the memo-hit repeat follows below.
+  context.ClearStageMemo();
   SummaryList warm = engine.Find(source, target).ValueOrDie();
+  SummaryList memo = engine.Find(source, target).ValueOrDie();
 
   // Cold: nothing cached, every deduplicated leaf is swept and none elided.
   EXPECT_GT(cold.shard_moment_leaves_swept, 0);
@@ -470,6 +495,16 @@ TEST(EngineContextTest, WarmShardedRunElidesEveryLeafMomentsTask) {
   SummaryList fresh = CharlesEngine(plain).Find(source, target).ValueOrDie();
   ExpectIdenticalRuns(fresh, cold);
   ExpectIdenticalRuns(fresh, warm);
+
+  // Memo hit: phases 1–3 are skipped, so no shard round runs at all — not
+  // even the phase-1 signal round — and the ranking is still identical.
+  EXPECT_EQ(memo.stage_memo_phase12_hits, 1);
+  EXPECT_EQ(memo.stage_memo_phase3_hits, 1);
+  EXPECT_EQ(memo.shard_tasks_executed, 0);
+  EXPECT_EQ(memo.shard_rows_scanned, 0);
+  EXPECT_EQ(memo.leaf_fits_computed, 0);
+  EXPECT_EQ(memo.run_id, cold.run_id);
+  ExpectIdenticalRuns(fresh, memo);
 }
 
 TEST(StreamingFindTest, BlockingFindStreamsToo) {

@@ -342,6 +342,8 @@ TEST(ObsDiagnosticsTest, RunDiagnosticsJsonHasVersionedSchema) {
   summary.shards_used = 4;
   summary.remote_tasks_dispatched = 12;
   summary.elapsed_seconds = 1.5;
+  summary.rank_seconds = 0.25;
+  summary.stage_memo_phase3_hits = 1;
   RemoteWorkerCounters worker;
   worker.endpoint = "127.0.0.1:9000";
   worker.healthy = true;
@@ -351,12 +353,16 @@ TEST(ObsDiagnosticsTest, RunDiagnosticsJsonHasVersionedSchema) {
   obs::RunDiagnostics diagnostics = obs::RunDiagnostics::FromSummary(summary);
   std::string json = diagnostics.ToJson();
   EXPECT_EQ(json, summary.ToJson());  // SummaryList::ToJson delegates
-  EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"run_id\":\"00000000deadbeef\""), std::string::npos);
   EXPECT_NE(json.find("\"candidates_evaluated\":42"), std::string::npos);
   EXPECT_NE(json.find("\"shards_used\":4"), std::string::npos);
   EXPECT_NE(json.find("\"127.0.0.1:9000\""), std::string::npos);
   EXPECT_NE(json.find("\"workers\":["), std::string::npos);
+  EXPECT_NE(json.find("\"stage_memo\":{\"phase12_hits\":0,\"phase3_hits\":1}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"rank\":0.25"), std::string::npos) << json;
 }
 
 }  // namespace

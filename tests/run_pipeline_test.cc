@@ -12,6 +12,7 @@
 
 #include "common/string_util.h"
 #include "core/engine.h"
+#include "core/engine_context.h"
 #include "core/run_pipeline.h"
 #include "workload/billionaires_gen.h"
 #include "workload/employee_gen.h"
@@ -30,14 +31,14 @@ TEST(RunPipelineTest, StageTableNamesTheDocumentedStages) {
   EXPECT_STREQ(stages[3].name, "phase 2 (trees)");
   EXPECT_STREQ(stages[4].name, "phase 3 (fits)");
   EXPECT_STREQ(stages[5].name, "rank/stream");
-  // The three search phases land their wall time in the documented
-  // SummaryList fields; the cheap bracketing stages only count into
-  // elapsed_seconds.
-  EXPECT_EQ(stages[0].timing, nullptr);
+  // Every stage lands its wall time in its own documented SummaryList
+  // field, so the six fields account for elapsed_seconds.
+  EXPECT_EQ(stages[0].timing, &SummaryList::diff_seconds);
+  EXPECT_EQ(stages[1].timing, &SummaryList::setup_seconds);
   EXPECT_EQ(stages[2].timing, &SummaryList::clustering_seconds);
   EXPECT_EQ(stages[3].timing, &SummaryList::induction_seconds);
   EXPECT_EQ(stages[4].timing, &SummaryList::fitting_seconds);
-  EXPECT_EQ(stages[5].timing, nullptr);
+  EXPECT_EQ(stages[5].timing, &SummaryList::rank_seconds);
 }
 
 TEST(RunPipelineTest, StagesComposeToTheOneCallEngine) {
@@ -74,13 +75,14 @@ TEST(RunPipelineTest, StagesComposeToTheOneCallEngine) {
   EXPECT_EQ(state.shortlist_stats->n(), state.analysis->num_rows());
 
   ASSERT_TRUE(RunPipeline::Phase2Trees(state).ok());
-  EXPECT_FALSE(state.partitions.empty());
+  ASSERT_NE(state.partitions, nullptr);
+  EXPECT_FALSE(state.partitions->empty());
   EXPECT_EQ(state.result.partitions,
-            static_cast<int64_t>(state.partitions.size()));
+            static_cast<int64_t>(state.partitions->size()));
 
   ASSERT_TRUE(RunPipeline::Phase3Fits(state).ok());
   EXPECT_EQ(state.work_items,
-            static_cast<int64_t>(state.partitions.size() * state.t_subsets.size()));
+            static_cast<int64_t>(state.partitions->size() * state.t_subsets.size()));
   EXPECT_EQ(static_cast<int64_t>(state.outputs.size()), state.work_items);
   EXPECT_GT(state.result.leaf_fits_computed, 0);
 
@@ -97,6 +99,44 @@ TEST(RunPipelineTest, StagesComposeToTheOneCallEngine) {
   }
   EXPECT_EQ(full.candidates_evaluated, state.result.candidates_evaluated);
   EXPECT_EQ(full.candidates_deduped, state.result.candidates_deduped);
+}
+
+double StageSeconds(const SummaryList& result) {
+  return result.diff_seconds + result.setup_seconds + result.clustering_seconds +
+         result.induction_seconds + result.fitting_seconds + result.rank_seconds;
+}
+
+TEST(RunPipelineTest, StageTimingsSumToElapsed) {
+  // A run's six stage fields account for its wall time: what is left is the
+  // bookkeeping of RunPipeline::Run, under 1% — cold, and on a stage-memo hit,
+  // where the cheap bracketing stages are most of the run.
+  EmployeeGenOptions gen;
+  gen.num_rows = 1500;
+  Table source = GenerateEmployees(gen).ValueOrDie();
+  Table target = MakeEmployeeBonusPolicy().Apply(source).ValueOrDie();
+  CharlesOptions options;
+  options.target_attribute = "bonus";
+  options.key_columns = {"emp_id"};
+  options.num_threads = 1;
+  SummaryList cold = CharlesEngine(options).Find(source, target).ValueOrDie();
+
+  EngineContextOptions ctx_options;
+  ctx_options.num_threads = 2;
+  EngineContext context(ctx_options);
+  CharlesEngine engine(options, &context);
+  SummaryList warmup = engine.Find(source, target).ValueOrDie();
+  SummaryList hit = engine.Find(source, target).ValueOrDie();
+  ASSERT_EQ(hit.stage_memo_phase3_hits, 1);
+
+  for (const SummaryList* result : {&cold, &warmup, &hit}) {
+    EXPECT_GT(result->diff_seconds, 0.0);
+    EXPECT_GT(result->setup_seconds, 0.0);
+    EXPECT_GT(result->rank_seconds, 0.0);
+    EXPECT_LE(StageSeconds(*result), result->elapsed_seconds);
+    EXPECT_GE(StageSeconds(*result), 0.99 * result->elapsed_seconds)
+        << "stages " << StageSeconds(*result) << " s of "
+        << result->elapsed_seconds << " s";
+  }
 }
 
 /// The pre-refactor goldens: search-trajectory counts and the top-ranked
