@@ -122,8 +122,10 @@ TEST(LinearModelTest, ToStringRendering) {
 }
 
 /// Property: planted coefficients are recovered across dimensions and sizes.
+/// Both fields are 64-bit so the struct has no padding: gtest names each case
+/// by the raw bytes of its parameter, and padding bytes are indeterminate.
 struct PlantedCase {
-  int features;
+  int64_t features;
   int64_t rows;
 };
 
