@@ -97,8 +97,9 @@ struct CharlesOptions {
   /// (bonus_new = f(bonus_old, ...)).
   bool include_old_target_in_transform = true;
 
-  /// Partition discovery: k-means is run for k = 1..max_clusters on the
-  /// residuals from the global fit.
+  /// Partition discovery: exact 1-D k-means yields k = 1..max_clusters on
+  /// each change signal (residuals from the global fit, raw and relative
+  /// deltas).
   int max_clusters = 6;
   /// Decision-tree depth for condition induction; 0 means "use
   /// max_condition_attrs".
@@ -212,7 +213,9 @@ struct CharlesOptions {
   /// Tolerate entities present in only one snapshot (they are excluded from
   /// the analysis). Off by default: the paper assumes identical entity sets.
   bool allow_insert_delete = false;
-  /// Seed for every stochastic component (k-means restarts).
+  /// Seed reserved for stochastic components. Phase 1's k-means is exact
+  /// and deterministic, so no stage reads it today; it stays in the
+  /// stage-memo key.
   uint64_t seed = 42;
 
   ScoreWeights weights;

@@ -176,17 +176,14 @@ Result<PartitionFinder::ResidualClusterings> PartitionFinder::ClusterResiduals(
     signals.push_back(std::move(relative));
   }
 
-  KMeansOptions kmeans_options;
-  kmeans_options.seed = options.seed;
-
+  // One sort and one exact DP table per signal yield every k at once.
   ResidualClusterings out;
   out.global_model = std::move(global);
   std::set<std::vector<int>> seen_labelings;
-  int k_max = static_cast<int>(std::min<int64_t>(options.max_clusters, n));
   for (const Matrix& signal : signals) {
-    for (int k = 1; k <= k_max; ++k) {
-      CHARLES_ASSIGN_OR_RETURN(KMeansResult clustering,
-                               KMeans::Fit(signal, k, kmeans_options));
+    CHARLES_ASSIGN_OR_RETURN(std::vector<KMeansResult> layers,
+                             KMeans::FitAllK(signal, options.max_clusters));
+    for (KMeansResult& clustering : layers) {
       if (!seen_labelings.insert(CanonicalizeLabels(clustering.labels)).second) continue;
       out.clusterings.push_back(std::move(clustering));
     }

@@ -93,7 +93,8 @@ struct PartitionCandidate {
 ///  1. fit one global linear regression of the new target values on T over
 ///     the source snapshot;
 ///  2. k-means the *signed residuals* (each row's distance from the
-///     regression line) for k = 1..max_clusters;
+///     regression line) for k = 1..max_clusters, exactly: one sort and one
+///     1-D DP table (KMeans::FitAllK) give every k;
 ///  3. for each clustering, fit a small CART tree over the attributes in C
 ///     that predicts cluster membership — each leaf's root path is a
 ///     candidate partition condition.
@@ -148,7 +149,8 @@ class PartitionFinder {
     std::vector<KMeansResult> clusterings;
   };
 
-  /// Steps 1–2: global fit on T, k-means over the signed residuals. The
+  /// Steps 1–2: global fit on T, exact 1-D k-means over the signed
+  /// residuals; a non-finite signal value is an InvalidArgument. The
   /// delta/relative-delta signals are T-independent; pass
   /// include_delta_signals = false on all but the first call of a T sweep to
   /// avoid recomputing them.

@@ -474,8 +474,8 @@ Status RunPipeline::Phase1Signals(RunState& state) {
   // transformation subset T; delta/relative-delta clusterings do not, so
   // they are computed once. All labelings are pooled, canonicalized, and
   // deduplicated: tree induction below runs once per (C, labeling) instead
-  // of once per (C, T, k). Each T-subset clusters independently (k-means is
-  // seeded per call); pooling dedups sequentially in T order.
+  // of once per (C, T, k). Each T-subset clusters independently (exact 1-D
+  // k-means, no RNG); pooling dedups sequentially in T order.
   struct TSubsetLabelings {
     std::vector<std::string> transform_attrs;
     std::vector<std::vector<int>> canonical;

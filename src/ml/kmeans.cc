@@ -4,8 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
 
-#include "common/logging.h"
 #include "common/random.h"
 
 namespace charles {
@@ -116,15 +117,187 @@ LloydOutcome RunLloyd(const Matrix& points, int k, Matrix centroids,
   return LloydOutcome{std::move(labels), std::move(centroids), inertia, iteration};
 }
 
+Status CheckPoints(const Matrix& points) {
+  if (points.rows() == 0) return Status::InvalidArgument("KMeans: no points");
+  for (int64_t r = 0; r < points.rows(); ++r) {
+    for (int64_t c = 0; c < points.cols(); ++c) {
+      if (!std::isfinite(points.At(r, c))) {
+        return Status::InvalidArgument("KMeans: non-finite point at row " +
+                                       std::to_string(r));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// The sorted distinct values of a finite 1-D input, in a frame where every
+/// squared sum is finite: x' = x * 2^-exponent - shift. The power-of-two
+/// scale bounds |x * 2^-exponent| below 1 without rounding, so scaling the
+/// input by 2^a shifts `exponent` by a and leaves every other field
+/// bit-identical (unless values far below the largest underflow).
+struct SortedValues {
+  /// Framed distinct values, ascending, and how many rows hold each.
+  std::vector<double> values;
+  std::vector<double> weights;
+  /// Index into `values` of each input row.
+  std::vector<int64_t> distinct_of_row;
+  int exponent = 0;
+  double shift = 0.0;
+};
+
+SortedValues SortDistinct(const Matrix& points) {
+  const int64_t n = points.rows();
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), int64_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    return points.At(a, 0) < points.At(b, 0);
+  });
+  double max_abs = std::max(std::abs(points.At(order.front(), 0)),
+                            std::abs(points.At(order.back(), 0)));
+
+  SortedValues out;
+  out.exponent = max_abs > 0.0 ? std::ilogb(max_abs) + 1 : 0;
+  // Centring on the median keeps the prefix sums small, which limits
+  // cancellation when Sse subtracts two of them.
+  out.shift = std::ldexp(points.At(order[static_cast<size_t>(n / 2)], 0), -out.exponent);
+  out.distinct_of_row.resize(static_cast<size_t>(n));
+  for (size_t p = 0; p < order.size(); ++p) {
+    double x = points.At(order[p], 0);
+    if (p == 0 || x != points.At(order[p - 1], 0)) {
+      out.values.push_back(std::ldexp(x, -out.exponent) - out.shift);
+      out.weights.push_back(0.0);
+    }
+    out.weights.back() += 1.0;
+    out.distinct_of_row[static_cast<size_t>(order[p])] =
+        static_cast<int64_t>(out.values.size()) - 1;
+  }
+  return out;
+}
+
+/// Within-cluster sum of squares of any run of sorted distinct values, in
+/// O(1) from prefix sums of w, w*x and w*x^2.
+class IntervalCosts {
+ public:
+  explicit IntervalCosts(const SortedValues& sorted) {
+    size_t m = sorted.values.size();
+    w_.assign(m + 1, 0.0);
+    wx_.assign(m + 1, 0.0);
+    wxx_.assign(m + 1, 0.0);
+    for (size_t j = 0; j < m; ++j) {
+      double w = sorted.weights[j];
+      double x = sorted.values[j];
+      w_[j + 1] = w_[j] + w;
+      wx_[j + 1] = wx_[j] + w * x;
+      wxx_[j + 1] = wxx_[j] + w * x * x;
+    }
+  }
+
+  /// SSE of distinct values [i, j], both inclusive.
+  double Sse(int64_t i, int64_t j) const {
+    double w = w_[static_cast<size_t>(j + 1)] - w_[static_cast<size_t>(i)];
+    double wx = wx_[static_cast<size_t>(j + 1)] - wx_[static_cast<size_t>(i)];
+    double wxx = wxx_[static_cast<size_t>(j + 1)] - wxx_[static_cast<size_t>(i)];
+    return std::max(0.0, wxx - wx * wx / w);
+  }
+
+  /// Weighted mean of distinct values [i, j].
+  double Mean(int64_t i, int64_t j) const {
+    return (wx_[static_cast<size_t>(j + 1)] - wx_[static_cast<size_t>(i)]) /
+           (w_[static_cast<size_t>(j + 1)] - w_[static_cast<size_t>(i)]);
+  }
+
+ private:
+  std::vector<double> w_, wx_, wxx_;
+};
+
+/// One layer of the SSE dynamic program: cost[j] is the least SSE of
+/// distinct values [0, j] in the layer's number of groups, and split[j] the
+/// first value of the last group; prev_cost is the layer with one group
+/// fewer. The optimal split is monotone in j, so each middle j
+/// narrows the split range of the two halves around it.
+struct LayerFiller {
+  const IntervalCosts& costs;
+  const std::vector<double>& prev_cost;
+  std::vector<double>& cost;
+  std::vector<int64_t>& split;
+
+  void Fill(int64_t j_lo, int64_t j_hi, int64_t i_lo, int64_t i_hi) {
+    if (j_lo > j_hi) return;
+    int64_t j = j_lo + (j_hi - j_lo) / 2;
+    int64_t best_i = i_lo;
+    double best = std::numeric_limits<double>::infinity();
+    for (int64_t i = i_lo; i <= std::min(j, i_hi); ++i) {
+      double c = prev_cost[static_cast<size_t>(i - 1)] + costs.Sse(i, j);
+      if (c < best) {  // strict: ties keep the earliest split
+        best = c;
+        best_i = i;
+      }
+    }
+    cost[static_cast<size_t>(j)] = best;
+    split[static_cast<size_t>(j)] = best_i;
+    Fill(j_lo, j - 1, i_lo, best_i);
+    Fill(j + 1, j_hi, best_i, i_hi);
+  }
+};
+
+/// FitAllK on validated input.
+std::vector<KMeansResult> ExactLayers(const Matrix& points, int max_k) {
+  SortedValues sorted = SortDistinct(points);
+  IntervalCosts costs(sorted);
+  const int64_t m = static_cast<int64_t>(sorted.values.size());
+  const int layers = static_cast<int>(std::min<int64_t>(max_k, m));
+
+  // splits[l] is layer l's split table (l + 1 clusters); layer 0 has none.
+  std::vector<std::vector<int64_t>> splits(static_cast<size_t>(layers));
+  std::vector<double> prev_cost(static_cast<size_t>(m));
+  for (int64_t j = 0; j < m; ++j) prev_cost[static_cast<size_t>(j)] = costs.Sse(0, j);
+  std::vector<double> cost(static_cast<size_t>(m));
+  for (int l = 1; l < layers; ++l) {
+    std::vector<int64_t>& split = splits[static_cast<size_t>(l)];
+    split.assign(static_cast<size_t>(m), 0);
+    LayerFiller{costs, prev_cost, cost, split}.Fill(l, m - 1, l, m - 1);
+    std::swap(prev_cost, cost);
+  }
+
+  std::vector<KMeansResult> out(static_cast<size_t>(layers));
+  std::vector<int> cluster_of(static_cast<size_t>(m));
+  for (int l = 0; l < layers; ++l) {
+    KMeansResult& result = out[static_cast<size_t>(l)];
+    result.k = l + 1;
+    result.centroids = Matrix(l + 1, 1);
+    double sse = 0.0;
+    int64_t j = m - 1;
+    for (int c = l; c >= 0; --c) {
+      int64_t i = c == 0 ? 0 : splits[static_cast<size_t>(c)][static_cast<size_t>(j)];
+      double mean = costs.Mean(i, j);
+      for (int64_t t = i; t <= j; ++t) {
+        cluster_of[static_cast<size_t>(t)] = c;
+        double diff = sorted.values[static_cast<size_t>(t)] - mean;
+        sse += sorted.weights[static_cast<size_t>(t)] * diff * diff;
+      }
+      result.centroids.At(c, 0) = std::ldexp(mean + sorted.shift, sorted.exponent);
+      j = i - 1;
+    }
+    result.inertia = std::ldexp(sse, 2 * sorted.exponent);
+    result.labels.resize(sorted.distinct_of_row.size());
+    for (size_t r = 0; r < result.labels.size(); ++r) {
+      result.labels[r] = cluster_of[static_cast<size_t>(sorted.distinct_of_row[r])];
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<KMeansResult> KMeans::Fit(const Matrix& points, int k, const KMeansOptions& options) {
+  CHARLES_RETURN_NOT_OK(CheckPoints(points));
   int64_t n = points.rows();
-  if (n == 0) return Status::InvalidArgument("KMeans: no points");
   if (k < 1 || k > n) {
     return Status::InvalidArgument("KMeans: k=" + std::to_string(k) +
                                    " outside [1, " + std::to_string(n) + "]");
   }
+  if (points.cols() == 1) return std::move(ExactLayers(points, k).back());
+
   Rng rng(options.seed);
   LloydOutcome best;
   best.inertia = std::numeric_limits<double>::max();
@@ -143,89 +316,17 @@ Result<KMeansResult> KMeans::Fit(const Matrix& points, int k, const KMeansOption
   return result;
 }
 
-double SilhouetteScore(const Matrix& points, const std::vector<int>& labels,
-                       int64_t max_samples, uint64_t seed) {
-  int64_t n = points.rows();
-  CHARLES_CHECK_EQ(static_cast<int64_t>(labels.size()), n);
-  if (n < 3) return 0.0;
-  int k = 0;
-  for (int label : labels) k = std::max(k, label + 1);
-  // Count non-empty clusters.
-  std::vector<int64_t> cluster_sizes(static_cast<size_t>(k), 0);
-  for (int label : labels) ++cluster_sizes[static_cast<size_t>(label)];
-  int effective = 0;
-  for (int64_t size : cluster_sizes) {
-    if (size > 0) ++effective;
+Result<std::vector<KMeansResult>> KMeans::FitAllK(const Matrix& points, int max_k) {
+  if (points.cols() != 1) {
+    return Status::InvalidArgument("KMeans::FitAllK: points must have one column, got " +
+                                   std::to_string(points.cols()));
   }
-  if (effective < 2) return 0.0;
-
-  // Deterministic subsample for O(n^2) distance sums.
-  std::vector<int64_t> sample(static_cast<size_t>(n));
-  std::iota(sample.begin(), sample.end(), int64_t{0});
-  if (n > max_samples) {
-    Rng rng(seed);
-    rng.Shuffle(&sample);
-    sample.resize(static_cast<size_t>(max_samples));
+  if (max_k < 1) {
+    return Status::InvalidArgument("KMeans::FitAllK: max_k=" + std::to_string(max_k) +
+                                   " below 1");
   }
-
-  int64_t d = points.cols();
-  double total = 0.0;
-  int64_t counted = 0;
-  for (int64_t idx : sample) {
-    int own = labels[static_cast<size_t>(idx)];
-    if (cluster_sizes[static_cast<size_t>(own)] < 2) continue;  // silhouette 0
-    std::vector<double> dist_sum(static_cast<size_t>(k), 0.0);
-    std::vector<int64_t> dist_count(static_cast<size_t>(k), 0);
-    for (int64_t j = 0; j < n; ++j) {
-      if (j == idx) continue;
-      double dist = std::sqrt(SquaredDistance(points.RowPtr(idx), points.RowPtr(j), d));
-      int lj = labels[static_cast<size_t>(j)];
-      dist_sum[static_cast<size_t>(lj)] += dist;
-      ++dist_count[static_cast<size_t>(lj)];
-    }
-    double a = dist_sum[static_cast<size_t>(own)] /
-               static_cast<double>(dist_count[static_cast<size_t>(own)]);
-    double b = std::numeric_limits<double>::max();
-    for (int c = 0; c < k; ++c) {
-      if (c == own || dist_count[static_cast<size_t>(c)] == 0) continue;
-      b = std::min(b, dist_sum[static_cast<size_t>(c)] /
-                          static_cast<double>(dist_count[static_cast<size_t>(c)]));
-    }
-    double denom = std::max(a, b);
-    total += denom > 1e-300 ? (b - a) / denom : 0.0;
-    ++counted;
-  }
-  return counted > 0 ? total / static_cast<double>(counted) : 0.0;
-}
-
-Result<KMeansResult> FitBestK(const Matrix& points, int k_min, int k_max,
-                              const KMeansOptions& options, double min_silhouette) {
-  if (k_min < 1 || k_max < k_min) {
-    return Status::InvalidArgument("FitBestK: bad k range");
-  }
-  k_max = static_cast<int>(std::min<int64_t>(k_max, points.rows()));
-  k_min = std::min(k_min, k_max);
-
-  Result<KMeansResult> single = KMeans::Fit(points, std::max(1, k_min), options);
-  CHARLES_RETURN_NOT_OK(single.status());
-  KMeansResult best = std::move(*single);
-  double best_silhouette = best.k >= 2 ? SilhouetteScore(points, best.labels) : 0.0;
-
-  for (int k = std::max(2, k_min + (best.k == k_min ? 1 : 0)); k <= k_max; ++k) {
-    if (k == best.k) continue;
-    Result<KMeansResult> fit = KMeans::Fit(points, k, options);
-    if (!fit.ok()) continue;
-    double silhouette = SilhouetteScore(points, fit->labels);
-    if (silhouette > best_silhouette) {
-      best = std::move(*fit);
-      best_silhouette = silhouette;
-    }
-  }
-  // Collapse to one cluster when no split is convincingly structured.
-  if (best.k > 1 && best_silhouette < min_silhouette && k_min == 1) {
-    return KMeans::Fit(points, 1, options);
-  }
-  return best;
+  CHARLES_RETURN_NOT_OK(CheckPoints(points));
+  return ExactLayers(points, max_k);
 }
 
 }  // namespace charles

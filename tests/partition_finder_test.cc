@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "parallel/thread_pool.h"
 #include "workload/example1.h"
 
@@ -175,6 +177,14 @@ TEST(PartitionFinderTest, InputValidation) {
   std::vector<double> short_y = {1.0};
   input.y_new = &short_y;
   EXPECT_TRUE(PartitionFinder::ClusterResiduals(input, fx.options)
+                  .status()
+                  .IsInvalidArgument());
+
+  // A non-finite change signal (here the raw delta) is rejected, not sorted.
+  Example1Fixture inf_fx;
+  inf_fx.y_old[0] = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(PartitionFinder::ClusterResiduals(inf_fx.MakeInput({"bonus"}),
+                                                inf_fx.options)
                   .status()
                   .IsInvalidArgument());
 }
