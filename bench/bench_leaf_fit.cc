@@ -16,28 +16,22 @@
 /// and rolled up (the child-partition → parent-fit path, exercised without
 /// rescanning rows).
 ///
-/// A fourth pair of columns (ISSUE 7) times the intra-block kernels: the
-/// canonical block fold run with the scalar reference kernel versus the
-/// vectorized one. The two must produce bit-identical moments — the kernel
-/// contract — so the comparison is pure throughput, and the JSON records
-/// `kernel_bit_identical` alongside the speedup.
-///
-/// A second grid (ISSUE 8) measures the batched block-major fold: L
-/// overlapping leaves folded against per-block staged columns
-/// (linalg/batch_fold.h) versus L independent per-leaf sweeps, over
-/// leaves-per-batch × block size × kernel at the 100k × 8 reference shape.
-/// Both sides run the same L folds, so the per-fold and end-to-end speedups
-/// coincide; target is ≥ 2× over the per-leaf vectorized path at L ≥ 4.
+/// A fourth column times the canonical block fold (AccumulateRangeBlocks at
+/// the engine's default block size) — the one fold every leaf-moment, signal
+/// and shard sweep runs — and checks its decomposition contract: the same
+/// rows split into shard ranges at block boundaries, folded per block and
+/// merged in ascending block order, must serialize to the identical bytes
+/// (memcmp) as the one-pass fold.
 ///
 /// Results are recorded in BENCH_leaffit.json (working directory).
 /// `--smoke` runs one reduced cell and exits non-zero if the speedup drops
-/// below 1.5×, the kernels' moments diverge by a single bit, or the batched
-/// fold diverges from the per-leaf scalar reference on either kernel — the
-/// CI tripwire for the leaf-fit path, the kernel contract, and the batched
-/// fold contract.
+/// below 1.5× or the shard-split fold diverges from the one-pass fold by a
+/// single byte — the CI tripwire for the leaf-fit path and the block-fold
+/// contract.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -47,9 +41,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "linalg/batch_fold.h"
-#include "linalg/kernels/block_stage.h"
-#include "linalg/kernels/kernel.h"
+#include "distributed/shard_planner.h"
 #include "linalg/suffstats.h"
 #include "ml/linear_regression.h"
 
@@ -196,40 +188,22 @@ struct GridRow {
   double merge_s = 0.0;
   double speedup = 0.0;
   double max_delta = 0.0;
-  double kernel_scalar_s = 0.0;
-  double kernel_simd_s = 0.0;
-  double kernel_speedup = 0.0;
-  bool kernel_bit_identical = false;
+  double fold_s = 0.0;
+  bool split_bit_identical = false;
 };
 
-/// Block size for the kernel comparison — the engine's default canonical
-/// block (CharlesOptions::stats_block_rows), so the bench times the fold the
+/// Block size of the fold comparison — the engine's default canonical block
+/// (CharlesOptions::stats_block_rows), so the bench times the fold the
 /// pipeline actually runs.
-constexpr int64_t kKernelBlockRows = 4096;
+constexpr int64_t kFoldBlockRows = 4096;
+/// Shard count of the split side of the decomposition check.
+constexpr int kSplitShards = 4;
 
-/// Best-of-`reps` wall time for the canonical block fold under `kernel`.
-/// The resulting stats from the final rep are left in `*out` for the
-/// bit-identity check.
-double TimeKernelFold(const kernels::Kernel& kernel,
-                      const std::vector<const std::vector<double>*>& columns,
-                      const std::vector<double>& y, int64_t rows, int reps,
-                      SufficientStats* out) {
-  double best = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto start = std::chrono::steady_clock::now();
-    SufficientStats stats =
-        AccumulateRangeBlocks(kernel, columns, y, rows, kKernelBlockRows);
-    double elapsed = Seconds(start);
-    benchmark::DoNotOptimize(stats);
-    if (rep == 0 || elapsed < best) best = elapsed;
-    *out = std::move(stats);
-  }
-  return best;
-}
-
-/// Scalar-vs-vectorized kernel throughput on the same column data the stats
-/// path scans, plus the contract check: the moments must match bitwise.
-void RunKernelPaths(const LeafData& leaf, GridRow* row) {
+/// Times the canonical one-pass block fold over the leaf's columns (best of
+/// a few reps), then replays it as a shard-split fold — per-block partials
+/// of each PlanShards range, merged in ascending block order, as the
+/// coordinator does — and compares the two serialized moments with memcmp.
+void RunBlockFold(const LeafData& leaf, GridRow* row) {
   int64_t rows = leaf.x.rows();
   int64_t features = leaf.x.cols();
   std::vector<std::vector<double>> storage(static_cast<size_t>(features));
@@ -241,15 +215,35 @@ void RunKernelPaths(const LeafData& leaf, GridRow* row) {
     columns.push_back(&col);
   }
   const int reps = rows >= 100000 ? 3 : 5;
-  SufficientStats scalar_stats(features), simd_stats(features);
-  row->kernel_scalar_s = TimeKernelFold(kernels::ScalarKernel(), columns, leaf.y,
-                                        rows, reps, &scalar_stats);
-  row->kernel_simd_s = TimeKernelFold(kernels::SimdKernel(), columns, leaf.y,
-                                      rows, reps, &simd_stats);
-  row->kernel_speedup = row->kernel_simd_s > 0
-                            ? row->kernel_scalar_s / row->kernel_simd_s
-                            : 0.0;
-  row->kernel_bit_identical = scalar_stats.BitIdenticalTo(simd_stats);
+  SufficientStats one_pass(features);
+  for (int rep = 0; rep < reps; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    SufficientStats stats =
+        AccumulateRangeBlocks(columns, leaf.y, rows, kFoldBlockRows);
+    double elapsed = Seconds(start);
+    benchmark::DoNotOptimize(stats);
+    if (rep == 0 || elapsed < row->fold_s) row->fold_s = elapsed;
+    one_pass = std::move(stats);
+  }
+
+  ShardPlan plan = PlanShards(rows, kFoldBlockRows, kSplitShards);
+  std::vector<int64_t> index;
+  SufficientStats split(features);
+  for (const ShardRange& range : plan.shards) {
+    for (int64_t begin = range.row_begin; begin < range.row_end;
+         begin += kFoldBlockRows) {
+      int64_t end = std::min(begin + kFoldBlockRows, range.row_end);
+      index.resize(static_cast<size_t>(end - begin));
+      for (int64_t r = begin; r < end; ++r) index[static_cast<size_t>(r - begin)] = r;
+      CHARLES_CHECK_OK(split.Merge(
+          AccumulateRows(columns, leaf.y, index.data(), end - begin)));
+    }
+  }
+  std::string a, b;
+  one_pass.SerializeTo(&a);
+  split.SerializeTo(&b);
+  row->split_bit_identical =
+      a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;
 }
 
 GridRow RunCell(int64_t rows, int64_t features, int transforms, uint64_t seed) {
@@ -266,169 +260,11 @@ GridRow RunCell(int64_t rows, int64_t features, int transforms, uint64_t seed) {
   row.speedup = row.stats_s > 0 ? row.qr_s / row.stats_s : 0.0;
   row.max_delta = std::max(MaxModelDelta(stats_models, qr_models),
                            MaxModelDelta(merge_models, qr_models));
-  RunKernelPaths(leaf, &row);
+  RunBlockFold(leaf, &row);
   return row;
 }
 
-// --- Batched multi-leaf folds (ISSUE 8) -------------------------------------
-
-/// Column-major copy of a leaf's design plus L overlapping leaves: leaf 0 is
-/// all rows (contiguous), the rest are strided subsets — every leaf touches
-/// every block, the regime where staging is shared the most (and the one the
-/// phase-3 sweep's sibling partitions actually produce).
-struct BatchBenchData {
-  std::vector<std::vector<double>> column_storage;
-  std::vector<const std::vector<double>*> columns;
-  std::vector<double> y;
-  std::vector<std::vector<int64_t>> row_storage;
-  std::vector<kernels::BatchLeafRequest> requests;
-};
-
-BatchBenchData MakeBatchBench(const LeafData& leaf, int leaves) {
-  BatchBenchData b;
-  int64_t rows = leaf.x.rows();
-  int64_t features = leaf.x.cols();
-  b.column_storage.resize(static_cast<size_t>(features));
-  for (int64_t c = 0; c < features; ++c) {
-    std::vector<double>& col = b.column_storage[static_cast<size_t>(c)];
-    col.resize(static_cast<size_t>(rows));
-    for (int64_t r = 0; r < rows; ++r) col[static_cast<size_t>(r)] = leaf.x.At(r, c);
-  }
-  for (const std::vector<double>& col : b.column_storage) b.columns.push_back(&col);
-  b.y = leaf.y;
-  for (int l = 1; l < leaves; ++l) {
-    std::vector<int64_t> idx;
-    for (int64_t r = l % 5; r < rows; r += 1 + (l % 3)) idx.push_back(r);
-    b.row_storage.push_back(std::move(idx));
-  }
-  kernels::BatchLeafRequest all;
-  all.begin = 0;
-  all.count = rows;
-  b.requests.push_back(all);
-  for (const std::vector<int64_t>& idx : b.row_storage) {
-    kernels::BatchLeafRequest req;
-    req.rows = idx.data();
-    req.count = static_cast<int64_t>(idx.size());
-    b.requests.push_back(req);
-  }
-  return b;
-}
-
-/// Per-leaf reference: one full AccumulateRowBlocks / AccumulateRangeBlocks
-/// sweep per leaf — the column bytes cross the core once per leaf.
-double TimePerLeafFolds(const kernels::Kernel& kernel, const BatchBenchData& b,
-                        int64_t block_rows, int reps,
-                        std::vector<SufficientStats>* out) {
-  int64_t rows = static_cast<int64_t>(b.y.size());
-  double best = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto start = std::chrono::steady_clock::now();
-    std::vector<SufficientStats> stats;
-    stats.reserve(b.requests.size());
-    stats.push_back(AccumulateRangeBlocks(kernel, b.columns, b.y, rows, block_rows));
-    for (const std::vector<int64_t>& idx : b.row_storage) {
-      stats.push_back(AccumulateRowBlocks(kernel, b.columns, b.y, idx, block_rows));
-    }
-    double elapsed = Seconds(start);
-    benchmark::DoNotOptimize(stats);
-    if (rep == 0 || elapsed < best) best = elapsed;
-    *out = std::move(stats);
-  }
-  return best;
-}
-
-/// Batched path: block-major sweep, one staging per block shared by every
-/// leaf slice intersecting it (linalg/batch_fold.h).
-double TimeBatchedFolds(const kernels::Kernel& kernel, const BatchBenchData& b,
-                        int64_t block_rows, int reps,
-                        std::vector<SufficientStats>* out) {
-  int64_t rows = static_cast<int64_t>(b.y.size());
-  int64_t p = static_cast<int64_t>(b.columns.size());
-  double best = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto start = std::chrono::steady_clock::now();
-    kernels::BlockStager stager;
-    kernels::BatchFoldCounters counters;
-    std::vector<SufficientStats> merged(b.requests.size(), SufficientStats(p));
-    kernels::BatchFoldLeafMoments(
-        kernel, b.columns, b.y, b.requests, 0, rows, block_rows, &stager,
-        &counters, [&](int64_t ordinal, int64_t, SufficientStats&& stats) {
-          CHARLES_CHECK_OK(merged[static_cast<size_t>(ordinal)].Merge(stats));
-        });
-    double elapsed = Seconds(start);
-    benchmark::DoNotOptimize(merged);
-    if (rep == 0 || elapsed < best) best = elapsed;
-    *out = std::move(merged);
-  }
-  return best;
-}
-
-struct BatchGridRow {
-  int64_t rows = 0;
-  int leaves = 0;
-  int64_t block_rows = 0;
-  std::string kernel;
-  double per_leaf_s = 0.0;  ///< L per-leaf sweeps, same kernel
-  double batched_s = 0.0;   ///< one block-major batched sweep
-  double speedup = 0.0;     ///< per-fold == end-to-end (both run L folds)
-  bool bit_identical = false;  ///< batched vs per-leaf *scalar* reference
-};
-
-BatchGridRow RunBatchCell(const LeafData& leaf, const kernels::Kernel& kernel,
-                          int leaves, int64_t block_rows) {
-  BatchBenchData b = MakeBatchBench(leaf, leaves);
-  const int reps = leaf.x.rows() >= 100000 ? 3 : 5;
-  BatchGridRow row;
-  row.rows = leaf.x.rows();
-  row.leaves = leaves;
-  row.block_rows = block_rows;
-  row.kernel = kernel.name;
-  std::vector<SufficientStats> per_leaf, batched, scalar_ref;
-  row.per_leaf_s = TimePerLeafFolds(kernel, b, block_rows, reps, &per_leaf);
-  row.batched_s = TimeBatchedFolds(kernel, b, block_rows, reps, &batched);
-  row.speedup = row.batched_s > 0 ? row.per_leaf_s / row.batched_s : 0.0;
-  TimePerLeafFolds(kernels::ScalarKernel(), b, block_rows, 1, &scalar_ref);
-  row.bit_identical = batched.size() == scalar_ref.size();
-  for (size_t l = 0; row.bit_identical && l < batched.size(); ++l) {
-    row.bit_identical = batched[l].BitIdenticalTo(scalar_ref[l]);
-  }
-  return row;
-}
-
-/// Leaves-per-batch × block size × kernel at the 100k × 8 reference shape.
-std::vector<BatchGridRow> RunBatchGrid() {
-  LeafData leaf = MakeLeaf(100000, 8, 47);
-  std::vector<BatchGridRow> grid;
-  for (int leaves : {1, 4, 16}) {
-    for (int64_t block_rows : {int64_t{1024}, int64_t{4096}}) {
-      for (const kernels::Kernel* kernel :
-           {&kernels::ScalarKernel(), &kernels::SimdKernel()}) {
-        grid.push_back(RunBatchCell(leaf, *kernel, leaves, block_rows));
-      }
-    }
-  }
-  return grid;
-}
-
-void PrintBatchGrid(const std::vector<BatchGridRow>& grid) {
-  std::printf("\nbatched multi-leaf folds (100k x 8 reference shape):\n");
-  std::vector<int> widths = {8, 7, 7, 8, 11, 10, 9, 5};
-  PrintRule(widths);
-  PrintTableRow(widths, {"rows", "leaves", "block", "kernel", "per-leaf s",
-                         "batched s", "speedup", "bits"});
-  PrintRule(widths);
-  for (const BatchGridRow& r : grid) {
-    PrintTableRow(widths,
-                  {std::to_string(r.rows), std::to_string(r.leaves),
-                   std::to_string(r.block_rows), r.kernel, Fmt(r.per_leaf_s, 4),
-                   Fmt(r.batched_s, 4), Fmt(r.speedup, 2) + "x",
-                   r.bit_identical ? "ok" : "DIFF"});
-  }
-  PrintRule(widths);
-}
-
-void WriteJson(const std::string& path, const std::vector<GridRow>& grid,
-               const std::vector<BatchGridRow>& batch_grid) {
+void WriteJson(const std::string& path, const std::vector<GridRow>& grid) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -441,40 +277,11 @@ void WriteJson(const std::string& path, const std::vector<GridRow>& grid,
                  "    {\"rows\": %lld, \"features\": %lld, \"transforms\": %d, "
                  "\"qr_s\": %.5f, \"suffstats_s\": %.5f, \"merge_s\": %.5f, "
                  "\"speedup\": %.2f, \"max_coef_delta\": %.3g, "
-                 "\"kernel_scalar_s\": %.5f, \"kernel_simd_s\": %.5f, "
-                 "\"kernel_speedup\": %.2f, \"kernel_bit_identical\": %s}%s\n",
+                 "\"block_fold_s\": %.5f, \"split_fold_bit_identical\": %s}%s\n",
                  static_cast<long long>(r.rows), static_cast<long long>(r.features),
                  r.transforms, r.qr_s, r.stats_s, r.merge_s, r.speedup, r.max_delta,
-                 r.kernel_scalar_s, r.kernel_simd_s, r.kernel_speedup,
-                 r.kernel_bit_identical ? "true" : "false",
+                 r.fold_s, r.split_bit_identical ? "true" : "false",
                  i + 1 < grid.size() ? "," : "");
-  }
-  std::fprintf(
-      f,
-      "  ],\n"
-      "  \"batch_notes\": \"target: >= 2x per-fold over the per-leaf "
-      "vectorized path at 100k x 8, L >= 4. The win scales with the gap "
-      "between last-level-cache/DRAM re-read cost (per-leaf path: the "
-      "columns cross the core once per leaf) and near-core staged re-reads "
-      "(batched path: one staging memcpy per block, then L folds from "
-      "L1/L2). On hosts whose LLC holds the whole working set (e.g. a "
-      "266 MiB L3 vs the ~7 MiB 100k x 9-column set), per-leaf re-reads "
-      "already hit cache and the measured speedup collapses toward the "
-      "staging overhead break-even; on cache-constrained hardware the "
-      "re-reads stream from DRAM and batching recovers the full gap. "
-      "Bit-identity holds everywhere regardless.\",\n"
-      "  \"batch_grid\": [\n");
-  for (size_t i = 0; i < batch_grid.size(); ++i) {
-    const BatchGridRow& r = batch_grid[i];
-    std::fprintf(f,
-                 "    {\"rows\": %lld, \"leaves\": %d, \"block_rows\": %lld, "
-                 "\"kernel\": \"%s\", \"per_leaf_s\": %.5f, \"batched_s\": %.5f, "
-                 "\"per_fold_speedup\": %.2f, \"bit_identical\": %s}%s\n",
-                 static_cast<long long>(r.rows), r.leaves,
-                 static_cast<long long>(r.block_rows), r.kernel.c_str(),
-                 r.per_leaf_s, r.batched_s, r.speedup,
-                 r.bit_identical ? "true" : "false",
-                 i + 1 < batch_grid.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -496,20 +303,18 @@ std::vector<GridRow> RunGrid(bool smoke) {
 }
 
 void PrintGrid(const std::vector<GridRow>& grid) {
-  std::vector<int> widths = {8, 9, 11, 9, 12, 9, 9, 11, 10, 9, 8, 5};
+  std::vector<int> widths = {8, 9, 11, 9, 12, 9, 9, 11, 9, 5};
   PrintRule(widths);
   PrintTableRow(widths, {"rows", "features", "transforms", "QR s", "suffstats s",
-                         "merge s", "speedup", "max delta", "k-scalar s",
-                         "k-simd s", "k-speed", "bits"});
+                         "merge s", "speedup", "max delta", "fold s", "split"});
   PrintRule(widths);
   for (const GridRow& r : grid) {
     PrintTableRow(widths,
                   {std::to_string(r.rows), std::to_string(r.features),
                    std::to_string(r.transforms), Fmt(r.qr_s, 3), Fmt(r.stats_s, 3),
                    Fmt(r.merge_s, 3), Fmt(r.speedup, 1) + "x",
-                   Fmt(r.max_delta, 10), Fmt(r.kernel_scalar_s, 4),
-                   Fmt(r.kernel_simd_s, 4), Fmt(r.kernel_speedup, 2) + "x",
-                   r.kernel_bit_identical ? "ok" : "DIFF"});
+                   Fmt(r.max_delta, 10), Fmt(r.fold_s, 4),
+                   r.split_bit_identical ? "ok" : "DIFF"});
   }
   PrintRule(widths);
 }
@@ -564,48 +369,22 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: paths disagree (max delta %.3g)\n", r.max_delta);
       return 1;
     }
-    // The kernel contract is exact, so this gate is too: a single moment bit
-    // differing between the scalar and vectorized kernels is a hard failure,
-    // no tolerance. (Throughput is informational here — a perf gate on the
-    // kernels would flake on noisy CI runners.)
-    if (!r.kernel_bit_identical) {
+    // The block-fold contract is exact, so this gate is too: a single byte
+    // differing between the one-pass and shard-split folds is a hard
+    // failure, no tolerance. (Fold throughput is informational here — a perf
+    // gate would flake on noisy CI runners.)
+    if (!r.split_bit_identical) {
       std::fprintf(stderr,
-                   "FAIL: scalar and %s kernels produced different bits\n",
-                   charles::kernels::SimdKernel().name);
+                   "FAIL: shard-split block fold diverged from the one-pass "
+                   "fold\n");
       return 1;
     }
-    // Batched cross-path tripwire (ISSUE 8): the batched block-major fold —
-    // on either kernel — must reproduce the per-leaf scalar reference bit
-    // for bit on a multi-leaf batch. Exact gate, no tolerance; throughput is
-    // informational for the same flake reason as above.
-    {
-      charles::bench::LeafData leaf = charles::bench::MakeLeaf(20000, 8, 48);
-      for (const charles::kernels::Kernel* kernel :
-           {&charles::kernels::ScalarKernel(), &charles::kernels::SimdKernel()}) {
-        charles::bench::BatchGridRow cell =
-            charles::bench::RunBatchCell(leaf, *kernel, 4, 4096);
-        if (!cell.bit_identical) {
-          std::fprintf(stderr,
-                       "FAIL: batched fold on the %s kernel diverged from the "
-                       "per-leaf scalar reference\n",
-                       kernel->name);
-          return 1;
-        }
-        std::printf("batched smoke: %s kernel %.2fx vs per-leaf, bits ok\n",
-                    kernel->name, cell.speedup);
-      }
-    }
-    std::printf("smoke OK: %.1fx, max delta %.3g, kernels bit-identical "
-                "(%s %.2fx vs scalar)\n",
-                r.speedup, r.max_delta, charles::kernels::SimdKernel().name,
-                r.kernel_speedup);
+    std::printf("smoke OK: %.1fx, max delta %.3g, split fold bit-identical\n",
+                r.speedup, r.max_delta);
     return 0;
   }
 
-  std::vector<charles::bench::BatchGridRow> batch_grid =
-      charles::bench::RunBatchGrid();
-  charles::bench::PrintBatchGrid(batch_grid);
-  charles::bench::WriteJson("BENCH_leaffit.json", grid, batch_grid);
+  charles::bench::WriteJson("BENCH_leaffit.json", grid);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

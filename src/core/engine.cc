@@ -11,7 +11,6 @@
 #include "core/run_pipeline.h"
 #include "core/scoring.h"
 #include "linalg/error_partials.h"
-#include "linalg/kernels/kernel.h"
 #include "linalg/stats.h"
 #include "linalg/suffstats.h"
 
@@ -33,6 +32,15 @@ std::string SummaryList::ToString() const {
 }
 
 namespace {
+
+/// Strided gather: dst[i·dst_stride] = src[rows[i]] for each row of `rows`
+/// (dst_stride 1 = contiguous, Matrix::cols() = one matrix column).
+void GatherRows(const std::vector<double>& src, const RowSet& rows, double* dst,
+                int64_t dst_stride) {
+  for (int64_t i = 0; i < rows.size(); ++i) {
+    dst[i * dst_stride] = src[static_cast<size_t>(rows[i])];
+  }
+}
 
 /// Builds the Figure-2 model tree from the condition-induction tree, pairing
 /// leaves (YES-first traversal order) with the CTs built from them.
@@ -190,11 +198,7 @@ Result<CharlesEngine::LeafFit> CharlesEngine::FitLeaf(
       // band), but the Σ chain must replay the canonical block order so the
       // merged score bits stay canonical.
       std::vector<double> y_part(static_cast<size_t>(rows.size()));
-      if (rows.size() > 0) {
-        kernels::ActiveKernel().gather(y_new.data(), rows.indices().data(),
-                                       rows.size(), y_part.data(),
-                                       /*dst_stride=*/1);
-      }
+      GatherRows(y_new, rows, y_part.data(), /*dst_stride=*/1);
       fit.score = AccumulateScoreDiffBlocks(
           y_part, fit.predictions, rows.indices(), stats_workspace->block_rows,
           stats_workspace->score_tolerance);
@@ -233,14 +237,12 @@ Result<CharlesEngine::LeafFit> CharlesEngine::FitLeaf(
   // from the run's pre-converted ColumnCache when available (the engine
   // always passes one), falling back to per-leaf gather + conversion.
   Matrix x(rows.size(), static_cast<int64_t>(transform_attrs.size()));
-  const kernels::Kernel& kernel = kernels::ActiveKernel();
   for (size_t f = 0; f < transform_attrs.size(); ++f) {
     const std::vector<double>* full =
         column_cache != nullptr ? column_cache->Find(transform_attrs[f]) : nullptr;
     if (full != nullptr) {
       if (rows.size() > 0) {
-        kernel.gather(full->data(), rows.indices().data(), rows.size(),
-                      &x.At(0, static_cast<int64_t>(f)), x.cols());
+        GatherRows(*full, rows, &x.At(0, static_cast<int64_t>(f)), x.cols());
       }
       continue;
     }
@@ -251,10 +253,7 @@ Result<CharlesEngine::LeafFit> CharlesEngine::FitLeaf(
     }
   }
   std::vector<double> y_part(static_cast<size_t>(rows.size()));
-  if (rows.size() > 0) {
-    kernel.gather(y_new.data(), rows.indices().data(), rows.size(),
-                  y_part.data(), /*dst_stride=*/1);
-  }
+  GatherRows(y_new, rows, y_part.data(), /*dst_stride=*/1);
   if (!have_model) {
     CHARLES_ASSIGN_OR_RETURN(model, LinearRegression::Fit(x, y_part, transform_attrs));
   }
@@ -430,11 +429,7 @@ Result<ChangeSummary> CharlesEngine::BuildSummary(
         // partials: fold this leaf on the spot — same gather, same block
         // fold, same bits FitLeaf would have stored.
         std::vector<double> y_part(static_cast<size_t>(rows.size()));
-        if (rows.size() > 0) {
-          kernels::ActiveKernel().gather(y_new.data(), rows.indices().data(),
-                                         rows.size(), y_part.data(),
-                                         /*dst_stride=*/1);
-        }
+        GatherRows(y_new, rows, y_part.data(), /*dst_stride=*/1);
         score_total.Merge(AccumulateScoreDiffBlocks(
             y_part, fit->predictions, rows.indices(),
             stats_workspace->block_rows, stats_workspace->score_tolerance));

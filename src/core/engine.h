@@ -64,33 +64,6 @@ struct SummaryList {
   int64_t candidates_evaluated = 0; ///< summaries built and scored
   int64_t candidates_deduped = 0;   ///< dropped as structural duplicates
   int threads_used = 1;             ///< worker threads the run executed on
-  /// Intra-block compute kernel the run resolved and installed ("scalar",
-  /// "simd", "simd-avx2"; see CharlesOptions::kernel_backend), with a
-  /// "+batch" suffix when any sweep took the batched staged-block path
-  /// (batched_blocks_staged > 0). Reporting only — every kernel and every
-  /// batch_fold mode produces bit-identical output.
-  std::string kernel_used;
-  /// \name Batched-fold diagnostics (CharlesOptions::batch_fold; all zero
-  /// when every sweep ran the per-leaf path). The histogram summary of
-  /// leaves-per-staged-block is (count, mean, max) =
-  /// (batched_blocks_staged, batch_leaves_per_block_mean(),
-  /// batch_leaves_per_block_max).
-  /// @{
-  /// Canonical blocks materialized by the staging pool across all sweeps.
-  int64_t batched_blocks_staged = 0;
-  /// Accumulators (leaf moments, probes, signal partials) folded against
-  /// staged blocks — Σ over staged blocks of that block's batch width.
-  int64_t batched_fold_accumulators = 0;
-  /// Widest single-block batch any sweep folded.
-  int64_t batch_leaves_per_block_max = 0;
-  /// Mean accumulators folded per staged block (0 when nothing staged).
-  double batch_leaves_per_block_mean() const {
-    return batched_blocks_staged > 0
-               ? static_cast<double>(batched_fold_accumulators) /
-                     static_cast<double>(batched_blocks_staged)
-               : 0.0;
-  }
-  /// @}
   int64_t leaf_fits_computed = 0;   ///< OLS leaf fits actually performed
   int64_t leaf_fits_reused = 0;     ///< leaf fits served from a cache
   /// Fits dropped from the shared leaf-fit cache by its LRU bound, as of the

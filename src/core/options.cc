@@ -1,7 +1,5 @@
 #include "core/options.h"
 
-#include "linalg/kernels/kernel.h"
-
 namespace charles {
 
 Status CharlesOptions::Validate() const {
@@ -47,16 +45,6 @@ Status CharlesOptions::Validate() const {
   }
   if (stats_block_rows < 1) {
     return Status::OutOfRange("stats_block_rows must be >= 1");
-  }
-  {
-    Result<kernels::KernelBackend> parsed =
-        kernels::ParseKernelBackend(kernel_backend);
-    if (!parsed.ok()) return parsed.status();
-  }
-  {
-    Result<kernels::BatchFoldMode> parsed =
-        kernels::ParseBatchFoldMode(batch_fold);
-    if (!parsed.ok()) return parsed.status();
   }
   if (shard_backend == ShardBackendKind::kRemote) {
     if (remote_workers.empty()) {

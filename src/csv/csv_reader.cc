@@ -1,5 +1,7 @@
 #include "csv/csv_reader.h"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -17,24 +19,57 @@ bool IsNullToken(const std::string& cell, const CsvReadOptions& options) {
   return false;
 }
 
+/// True when `cell` spells a non-finite number ("nan", "inf", "-inf",
+/// "Infinity", an overflowing "1e999", ...): strtod consumes all of it, but
+/// ParseDouble rejects the result.
+bool IsNonFiniteNumber(const std::string& cell) {
+  std::string trimmed = Trim(cell);
+  if (trimmed.empty()) return false;
+  char* endptr = nullptr;
+  double value = std::strtod(trimmed.c_str(), &endptr);
+  return endptr == trimmed.c_str() + trimmed.size() && !std::isfinite(value);
+}
+
 /// Column type lattice walked during inference: int64 -> double -> bool ->
 /// string. A column starts at the narrowest type and widens as cells fail to
-/// parse.
-TypeKind InferColumnType(const std::vector<std::vector<std::string>>& records,
-                         size_t column, size_t first_data_row,
-                         const CsvReadOptions& options) {
+/// parse. A column whose cells are all numbers except for non-finite ones
+/// (nan/inf) is an error naming the first such cell — inferring it as
+/// string would only surface later as a confusing schema mismatch.
+Result<TypeKind> InferColumnType(const std::vector<std::vector<std::string>>& records,
+                                 size_t column, const std::string& name,
+                                 size_t first_data_row,
+                                 const CsvReadOptions& options) {
   bool all_int = true;
   bool all_double = true;
   bool all_bool = true;
   bool saw_value = false;
+  bool saw_finite_number = false;
+  bool otherwise_numeric = true;  // every cell is a number, finite or not
+  size_t first_non_finite = 0;    // record index; 0 = none seen
   for (size_t r = first_data_row; r < records.size(); ++r) {
     const std::string& cell = records[r][column];
     if (IsNullToken(cell, options)) continue;
     saw_value = true;
     if (all_int && !ParseInt64(cell).has_value()) all_int = false;
-    if (all_double && !ParseDouble(cell).has_value()) all_double = false;
+    bool finite_number = ParseDouble(cell).has_value();
+    if (!finite_number) all_double = false;
     if (all_bool && !ParseBool(cell).has_value()) all_bool = false;
-    if (!all_int && !all_double && !all_bool) return TypeKind::kString;
+    if (finite_number) {
+      saw_finite_number = true;
+    } else if (otherwise_numeric && IsNonFiniteNumber(cell)) {
+      if (first_non_finite == 0) first_non_finite = r + 1;
+    } else {
+      otherwise_numeric = false;
+    }
+    if (!all_int && !all_double && !all_bool && !otherwise_numeric) {
+      return TypeKind::kString;
+    }
+  }
+  if (otherwise_numeric && saw_finite_number && first_non_finite != 0) {
+    return Status::InvalidArgument(
+        "record " + std::to_string(first_non_finite) + ", column '" + name +
+        "': non-finite value '" + records[first_non_finite - 1][column] +
+        "' in a numeric column");
   }
   if (!saw_value) return TypeKind::kString;  // all-NULL column: keep it generic
   if (all_int) return TypeKind::kInt64;
@@ -187,9 +222,11 @@ Result<Table> CsvReader::ReadString(std::string_view text, const CsvReadOptions&
 
   std::vector<Field> fields;
   for (size_t c = 0; c < width; ++c) {
-    TypeKind type = options.infer_types
-                        ? InferColumnType(records, c, first_data_row, options)
-                        : TypeKind::kString;
+    TypeKind type = TypeKind::kString;
+    if (options.infer_types) {
+      CHARLES_ASSIGN_OR_RETURN(
+          type, InferColumnType(records, c, names[c], first_data_row, options));
+    }
     fields.push_back(Field{names[c], type, /*nullable=*/true});
   }
   CHARLES_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));

@@ -23,8 +23,10 @@ struct CsvReadOptions {
   bool trim_cells = true;
   /// When true (default), column types are inferred by scanning all rows:
   /// int64 if every non-NULL cell parses as int64, else double if every cell
-  /// parses as double, else bool, else string. When false, all columns are
-  /// string.
+  /// parses as double, else bool, else string. A column whose cells are all
+  /// numbers except for non-finite ones ("nan", "inf", "-inf") fails the
+  /// read with InvalidArgument naming the record, the column and the cell.
+  /// When false, all columns are string.
   bool infer_types = true;
 };
 

@@ -7,9 +7,6 @@
 
 #include "common/wire.h"
 #include "distributed/shard_planner.h"
-#include "linalg/batch_fold.h"
-#include "linalg/kernels/block_stage.h"
-#include "linalg/kernels/kernel.h"
 
 namespace charles {
 
@@ -173,10 +170,7 @@ void ShardTaskResult::SerializeTo(std::string* out) const {
       partials.SerializeTo(out);
     }
   }
-  AppendScalar(out, batch_blocks_staged);
-  AppendScalar(out, batch_accumulators_folded);
-  AppendScalar(out, batch_max_accumulators_per_block);
-  // Trailing, unconditional (wire v4): the kScorePartials payload.
+  // Trailing, unconditional (wire v4+): the kScorePartials payload.
   int64_t num_score_probes = static_cast<int64_t>(score_probes.size());
   AppendScalar(out, num_score_probes);
   for (const ProbeShardScores& probe : score_probes) {
@@ -262,13 +256,6 @@ Result<ShardTaskResult> ShardTaskResult::Deserialize(const void* data,
     }
     result.probes.push_back(std::move(probe));
   }
-  if (!ReadScalar(&at, end, &result.batch_blocks_staged) ||
-      !ReadScalar(&at, end, &result.batch_accumulators_folded) ||
-      !ReadScalar(&at, end, &result.batch_max_accumulators_per_block) ||
-      result.batch_blocks_staged < 0 || result.batch_accumulators_folded < 0 ||
-      result.batch_max_accumulators_per_block < 0) {
-    return Status::IOError("ShardTaskResult::Deserialize: truncated batch counters");
-  }
   int64_t num_score_probes = 0;
   if (!ReadScalar(&at, end, &num_score_probes) || num_score_probes < 0 ||
       num_score_probes > (end - at) / (2 * static_cast<int64_t>(sizeof(int64_t)))) {
@@ -336,63 +323,6 @@ void RunLeafMoments(const ShardInput& input, const ShardRange& range,
   }
 }
 
-/// Folds one sweep's batch counters into the task result's diagnostics.
-void FoldBatchCounters(const kernels::BatchFoldCounters& counters,
-                       ShardTaskResult* result) {
-  result->batch_blocks_staged += counters.blocks_staged;
-  result->batch_accumulators_folded += counters.accumulators_folded;
-  if (counters.max_accumulators_per_block >
-      result->batch_max_accumulators_per_block) {
-    result->batch_max_accumulators_per_block =
-        counters.max_accumulators_per_block;
-  }
-}
-
-/// kLeafMoments, batched: the same upfront per-leaf intersection and snap
-/// evidence as RunLeafMoments, then one block-major staged sweep
-/// (linalg/batch_fold.h) in place of the per-leaf column walks. Each leaf's
-/// blocks arrive in ascending block order with bit-identical partials, so
-/// the payload is byte-for-byte the per-leaf path's.
-void RunLeafMomentsBatched(const ShardInput& input, const ShardRange& range,
-                           int64_t block_rows,
-                           const std::vector<const std::vector<double>*>& columns,
-                           const ShardTask& task, ShardTaskResult* result) {
-  std::vector<kernels::BatchLeafRequest> requests;
-  requests.reserve(task.leaves.size());
-  for (int64_t leaf_index : task.leaves) {
-    const RowSet& rows = *input.leaves[static_cast<size_t>(leaf_index)];
-    auto [lo, hi] = rows.PositionsInRange(range.row_begin, range.row_end);
-    if (lo == hi) continue;
-    LeafShardStats leaf;
-    leaf.leaf = leaf_index;
-    const int64_t* slice = rows.indices().data() + lo;
-    for (int64_t r = 0; r < hi - lo; ++r) {
-      size_t row = static_cast<size_t>(slice[r]);
-      double delta = std::abs((*input.y_new)[row] - (*input.y_old)[row]);
-      if (delta > leaf.max_abs_delta) leaf.max_abs_delta = delta;
-    }
-    kernels::BatchLeafRequest request;
-    request.rows = slice;
-    request.count = hi - lo;
-    requests.push_back(request);
-    result->rows_scanned += hi - lo;
-    result->leaves.push_back(std::move(leaf));
-  }
-  kernels::BatchFoldCounters counters;
-  kernels::BatchFoldLeafMoments(
-      kernels::ActiveKernel(), columns, *input.y_new, requests,
-      range.row_begin, range.row_end, block_rows,
-      &kernels::BlockStager::ThreadLocal(), &counters,
-      [&](int64_t ordinal, int64_t block, SufficientStats&& stats) {
-        result->leaves[static_cast<size_t>(ordinal)].blocks.emplace_back(
-            block, std::move(stats));
-      });
-  for (const LeafShardStats& leaf : result->leaves) {
-    result->blocks_emitted += static_cast<int64_t>(leaf.blocks.size());
-  }
-  FoldBatchCounters(counters, result);
-}
-
 /// kSignalStats: per-block shortlist moments over every row of the range —
 /// the same per-block partials AccumulateRangeBlocks produces centrally —
 /// plus the exactly-associative delta evidence.
@@ -429,82 +359,70 @@ void RunSignalStats(const ShardInput& input, const ShardRange& range,
   result->blocks_emitted += static_cast<int64_t>(result->signal_blocks.size());
 }
 
-/// kSignalStats, batched (batch_fold = "on" only — a single accumulator
-/// gains nothing under "auto"): one contiguous request over the range,
-/// staged block by block. Contiguous staging replays the identical
-/// arithmetic as the identity-index scratch fold above (the range and
-/// indexed folds are bit-identical by the kernel contract), so the payload
-/// is unchanged.
-void RunSignalStatsBatched(const ShardInput& input, const ShardRange& range,
-                           int64_t block_rows,
+/// Validates probe `p` against the shard input and resolves its feature
+/// columns, in probe feature order, from the shard's shortlist columns.
+Status ResolveProbeColumns(const ShardInput& input,
                            const std::vector<const std::vector<double>*>& columns,
-                           ShardTaskResult* result) {
-  std::vector<kernels::BatchLeafRequest> requests(1);
-  requests[0].rows = nullptr;
-  requests[0].count = range.num_rows();
-  requests[0].begin = range.row_begin;
-  kernels::BatchFoldCounters counters;
-  kernels::BatchFoldLeafMoments(
-      kernels::ActiveKernel(), columns, *input.y_new, requests,
-      range.row_begin, range.row_end, block_rows,
-      &kernels::BlockStager::ThreadLocal(), &counters,
-      [&](int64_t /*ordinal*/, int64_t block, SufficientStats&& stats) {
-        result->signal_blocks.emplace_back(block, std::move(stats));
-      });
-  for (int64_t row = range.row_begin; row < range.row_end; ++row) {
-    size_t r = static_cast<size_t>(row);
-    double delta = std::abs((*input.y_new)[r] - (*input.y_old)[r]);
-    if (delta > result->signal_max_abs_delta) {
-      result->signal_max_abs_delta = delta;
-    }
-    if (delta > 0.0) ++result->signal_rows_changed;
+                           const ErrorProbe& probe, size_t p,
+                           std::vector<const std::vector<double>*>* probe_columns) {
+  if (probe.leaf < 0 || probe.leaf >= static_cast<int64_t>(input.leaves.size()) ||
+      probe.features.size() != probe.coefficients.size()) {
+    return Status::InvalidArgument("ExecuteShardTaskKernel: malformed probe " +
+                                   std::to_string(p));
   }
-  result->rows_scanned += range.num_rows();
-  result->blocks_emitted += static_cast<int64_t>(result->signal_blocks.size());
-  FoldBatchCounters(counters, result);
+  probe_columns->clear();
+  probe_columns->reserve(probe.features.size());
+  for (int64_t f : probe.features) {
+    if (f < 0 || f >= static_cast<int64_t>(columns.size())) {
+      return Status::InvalidArgument(
+          "ExecuteShardTaskKernel: probe feature out of shortlist range");
+    }
+    probe_columns->push_back(columns[static_cast<size_t>(f)]);
+  }
+  return Status::OK();
+}
+
+/// ŷ(row) = intercept + Σ_f coefficients[f]·x_f[row], accumulated
+/// left-to-right — exactly LinearModel::PredictRow's evaluation order,
+/// which the kErrorPartials / kScorePartials merge argument depends on.
+double PredictProbeRow(const ErrorProbe& probe,
+                       const std::vector<const std::vector<double>*>& probe_columns,
+                       size_t row) {
+  double y_hat = probe.intercept;
+  for (size_t f = 0; f < probe_columns.size(); ++f) {
+    y_hat += probe.coefficients[f] * (*probe_columns[f])[row];
+  }
+  return y_hat;
 }
 
 /// kErrorPartials: per-(probe, block) exact L1 partials. Predictions run
-/// through the identical ŷ = intercept + Σ cᵢ·xᵢ left-to-right dot product
-/// as LinearModel::PredictRow, and |y − ŷ| is summed in row order per block
+/// through PredictProbeRow, and |y − ŷ| is summed in row order per block
 /// from zero — so the coordinator's block-ordered merge is bit-identical to
 /// the central canonical fold (AccumulateAbsDiffBlocks) over the same leaf.
 Status RunErrorPartials(const ShardInput& input, const ShardRange& range,
                         int64_t block_rows,
                         const std::vector<const std::vector<double>*>& columns,
                         const ShardTask& task, ShardTaskResult* result) {
+  std::vector<const std::vector<double>*> probe_columns;
   for (size_t p = 0; p < task.probes.size(); ++p) {
     const ErrorProbe& probe = task.probes[p];
-    if (probe.leaf < 0 ||
-        probe.leaf >= static_cast<int64_t>(input.leaves.size()) ||
-        probe.features.size() != probe.coefficients.size()) {
-      return Status::InvalidArgument("ExecuteShardTaskKernel: malformed probe " +
-                                     std::to_string(p));
-    }
-    std::vector<const std::vector<double>*> probe_columns;
-    probe_columns.reserve(probe.features.size());
-    for (int64_t f : probe.features) {
-      if (f < 0 || f >= static_cast<int64_t>(columns.size())) {
-        return Status::InvalidArgument(
-            "ExecuteShardTaskKernel: probe feature out of shortlist range");
-      }
-      probe_columns.push_back(columns[static_cast<size_t>(f)]);
-    }
+    CHARLES_RETURN_NOT_OK(
+        ResolveProbeColumns(input, columns, probe, p, &probe_columns));
     const RowSet& rows = *input.leaves[static_cast<size_t>(probe.leaf)];
     auto [lo, hi] = rows.PositionsInRange(range.row_begin, range.row_end);
     if (lo == hi) continue;
     ProbeShardErrors errors;
     errors.probe = static_cast<int64_t>(p);
     const int64_t* slice = rows.indices().data() + lo;
-    const kernels::Kernel& kernel = kernels::ActiveKernel();
     ForEachRowBlock(
         slice, hi - lo, block_rows,
         [&](int64_t block, const int64_t* block_rows_ptr, int64_t count) {
           ErrorPartials partials;
-          partials.abs_error_sum = kernel.probe_abs_error_sum(
-              probe.intercept, probe.coefficients.data(), probe_columns,
-              *input.y_new, block_rows_ptr, count);
-          partials.n = count;
+          for (int64_t i = 0; i < count; ++i) {
+            size_t row = static_cast<size_t>(block_rows_ptr[i]);
+            partials.Accumulate((*input.y_new)[row],
+                                PredictProbeRow(probe, probe_columns, row));
+          }
           errors.blocks.emplace_back(block, partials);
         });
     result->rows_scanned += hi - lo;
@@ -518,9 +436,7 @@ Status RunErrorPartials(const ShardInput& input, const ShardRange& range,
 /// the Σ|y − ŷ| chain are the identical arithmetic as RunErrorPartials (so
 /// the L1 component is bit-identical to an error probe of the same model),
 /// with the within-`score_tolerance` count tallied alongside — an integer
-/// tally over the same |errors|, exact under any order. No batched variant:
-/// a score probe is a single fused pass already; the batch counters stay
-/// zero by design.
+/// tally over the same |errors|, exact under any order.
 Status RunScorePartials(const ShardInput& input, const ShardRange& range,
                         int64_t block_rows,
                         const std::vector<const std::vector<double>*>& columns,
@@ -530,107 +446,33 @@ Status RunScorePartials(const ShardInput& input, const ShardRange& range,
         "ExecuteShardTaskKernel: kScorePartials requires a non-negative "
         "score tolerance");
   }
+  std::vector<const std::vector<double>*> probe_columns;
   for (size_t p = 0; p < task.probes.size(); ++p) {
     const ErrorProbe& probe = task.probes[p];
-    if (probe.leaf < 0 ||
-        probe.leaf >= static_cast<int64_t>(input.leaves.size()) ||
-        probe.features.size() != probe.coefficients.size()) {
-      return Status::InvalidArgument("ExecuteShardTaskKernel: malformed probe " +
-                                     std::to_string(p));
-    }
-    std::vector<const std::vector<double>*> probe_columns;
-    probe_columns.reserve(probe.features.size());
-    for (int64_t f : probe.features) {
-      if (f < 0 || f >= static_cast<int64_t>(columns.size())) {
-        return Status::InvalidArgument(
-            "ExecuteShardTaskKernel: probe feature out of shortlist range");
-      }
-      probe_columns.push_back(columns[static_cast<size_t>(f)]);
-    }
+    CHARLES_RETURN_NOT_OK(
+        ResolveProbeColumns(input, columns, probe, p, &probe_columns));
     const RowSet& rows = *input.leaves[static_cast<size_t>(probe.leaf)];
     auto [lo, hi] = rows.PositionsInRange(range.row_begin, range.row_end);
     if (lo == hi) continue;
     ProbeShardScores scores;
     scores.probe = static_cast<int64_t>(p);
     const int64_t* slice = rows.indices().data() + lo;
-    const kernels::Kernel& kernel = kernels::ActiveKernel();
     ForEachRowBlock(
         slice, hi - lo, block_rows,
         [&](int64_t block, const int64_t* block_rows_ptr, int64_t count) {
           ScorePartials partials;
-          kernel.probe_score_sum(probe.intercept, probe.coefficients.data(),
-                                 probe_columns, *input.y_new, block_rows_ptr,
-                                 count, task.score_tolerance,
-                                 &partials.abs_error_sum,
-                                 &partials.exact_count);
-          partials.n = count;
+          for (int64_t i = 0; i < count; ++i) {
+            size_t row = static_cast<size_t>(block_rows_ptr[i]);
+            partials.Accumulate((*input.y_new)[row],
+                                PredictProbeRow(probe, probe_columns, row),
+                                task.score_tolerance);
+          }
           scores.blocks.emplace_back(block, partials);
         });
     result->rows_scanned += hi - lo;
     result->blocks_emitted += static_cast<int64_t>(scores.blocks.size());
     result->score_probes.push_back(std::move(scores));
   }
-  return Status::OK();
-}
-
-/// kErrorPartials, batched: validates every probe upfront in probe order
-/// (identical first error to the per-probe path), then evaluates all
-/// intersecting probes in one block-major staged sweep. Probe features
-/// address the staged shortlist directly, so the per-probe column gathers
-/// disappear; per-(probe, block) partials are bit-identical and arrive in
-/// ascending block order.
-Status RunErrorPartialsBatched(
-    const ShardInput& input, const ShardRange& range, int64_t block_rows,
-    const std::vector<const std::vector<double>*>& columns,
-    const ShardTask& task, ShardTaskResult* result) {
-  for (size_t p = 0; p < task.probes.size(); ++p) {
-    const ErrorProbe& probe = task.probes[p];
-    if (probe.leaf < 0 ||
-        probe.leaf >= static_cast<int64_t>(input.leaves.size()) ||
-        probe.features.size() != probe.coefficients.size()) {
-      return Status::InvalidArgument("ExecuteShardTaskKernel: malformed probe " +
-                                     std::to_string(p));
-    }
-    for (int64_t f : probe.features) {
-      if (f < 0 || f >= static_cast<int64_t>(columns.size())) {
-        return Status::InvalidArgument(
-            "ExecuteShardTaskKernel: probe feature out of shortlist range");
-      }
-    }
-  }
-  std::vector<kernels::BatchProbeRequest> requests;
-  requests.reserve(task.probes.size());
-  for (size_t p = 0; p < task.probes.size(); ++p) {
-    const ErrorProbe& probe = task.probes[p];
-    const RowSet& rows = *input.leaves[static_cast<size_t>(probe.leaf)];
-    auto [lo, hi] = rows.PositionsInRange(range.row_begin, range.row_end);
-    if (lo == hi) continue;
-    kernels::BatchProbeRequest request;
-    request.intercept = probe.intercept;
-    request.coefficients = probe.coefficients.data();
-    request.feature_columns = probe.features.data();
-    request.num_features = static_cast<int64_t>(probe.features.size());
-    request.rows = rows.indices().data() + lo;
-    request.count = hi - lo;
-    requests.push_back(request);
-    ProbeShardErrors errors;
-    errors.probe = static_cast<int64_t>(p);
-    result->rows_scanned += hi - lo;
-    result->probes.push_back(std::move(errors));
-  }
-  kernels::BatchFoldCounters counters;
-  kernels::BatchFoldProbeErrors(
-      kernels::ActiveKernel(), columns, *input.y_new, requests,
-      range.row_begin, range.row_end, block_rows,
-      &kernels::BlockStager::ThreadLocal(), &counters,
-      [&](int64_t ordinal, int64_t block, ErrorPartials&& partials) {
-        result->probes[static_cast<size_t>(ordinal)].blocks.emplace_back(
-            block, partials);
-      });
-  for (const ProbeShardErrors& errors : result->probes) {
-    result->blocks_emitted += static_cast<int64_t>(errors.blocks.size());
-  }
-  FoldBatchCounters(counters, result);
   return Status::OK();
 }
 
@@ -665,38 +507,16 @@ Result<ShardTaskResult> ExecuteShardTaskKernel(const ShardInput& input,
   ShardTaskResult result;
   result.kind = task.kind;
   result.shard = shard_index;
-  // Batched and per-leaf sweeps produce byte-identical payloads, so the
-  // per-task choice — like the kernel choice — is invisible to the merge:
-  // every backend (and every remote worker, which resolves its own mode)
-  // may decide independently.
-  const kernels::BatchFoldMode batch_mode = kernels::ActiveBatchFold();
   switch (task.kind) {
     case ShardTaskKind::kLeafMoments:
-      if (kernels::ShouldBatchFold(
-              batch_mode, static_cast<int64_t>(task.leaves.size()))) {
-        RunLeafMomentsBatched(input, range, plan.block_rows, columns, task,
-                              &result);
-      } else {
-        RunLeafMoments(input, range, plan.block_rows, columns, task, &result);
-      }
+      RunLeafMoments(input, range, plan.block_rows, columns, task, &result);
       break;
     case ShardTaskKind::kSignalStats:
-      // One accumulator: staging only pays under an explicit "on".
-      if (kernels::ShouldBatchFold(batch_mode, 1)) {
-        RunSignalStatsBatched(input, range, plan.block_rows, columns, &result);
-      } else {
-        RunSignalStats(input, range, plan.block_rows, columns, &result);
-      }
+      RunSignalStats(input, range, plan.block_rows, columns, &result);
       break;
     case ShardTaskKind::kErrorPartials:
-      if (kernels::ShouldBatchFold(
-              batch_mode, static_cast<int64_t>(task.probes.size()))) {
-        CHARLES_RETURN_NOT_OK(RunErrorPartialsBatched(
-            input, range, plan.block_rows, columns, task, &result));
-      } else {
-        CHARLES_RETURN_NOT_OK(RunErrorPartials(input, range, plan.block_rows,
-                                               columns, task, &result));
-      }
+      CHARLES_RETURN_NOT_OK(RunErrorPartials(input, range, plan.block_rows,
+                                             columns, task, &result));
       break;
     case ShardTaskKind::kScorePartials:
       CHARLES_RETURN_NOT_OK(RunScorePartials(input, range, plan.block_rows,

@@ -188,14 +188,6 @@ struct ShardTaskResult {
   int64_t rows_scanned = 0;    ///< rows the task actually visited
   int64_t blocks_emitted = 0;  ///< per-block partials produced
   double elapsed_seconds = 0.0;
-  /// Batched-fold diagnostics (linalg/batch_fold.h): blocks the task staged,
-  /// accumulators folded over staged blocks, and the widest single-block
-  /// batch. All zero when the task ran the per-leaf path — the counters are
-  /// diagnostics only, and deliberately outside every parity comparison of
-  /// the canonical payloads.
-  int64_t batch_blocks_staged = 0;
-  int64_t batch_accumulators_folded = 0;
-  int64_t batch_max_accumulators_per_block = 0;
   /// @}
 
   /// \name Wire format.

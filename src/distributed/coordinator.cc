@@ -205,11 +205,6 @@ Result<CoordinatorTaskResult> Coordinator::RunTask(const ShardInput& input,
     if (!outcome.executed) continue;
     merged.shards_executed += 1;
     merged.rows_scanned += outcome.result.rows_scanned;
-    merged.batch_blocks_staged += outcome.result.batch_blocks_staged;
-    merged.batch_accumulators_folded += outcome.result.batch_accumulators_folded;
-    merged.batch_max_accumulators_per_block =
-        std::max(merged.batch_max_accumulators_per_block,
-                 outcome.result.batch_max_accumulators_per_block);
     switch (task.kind) {
       case ShardTaskKind::kLeafMoments:
         CHARLES_RETURN_NOT_OK(MergeLeafMoments(outcome, leaf_position, &merged));

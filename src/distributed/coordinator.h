@@ -94,13 +94,6 @@ struct CoordinatorTaskResult {
   int64_t rows_scanned = 0;   ///< summed over shards
   int64_t blocks_merged = 0;  ///< summed over rollups
   double elapsed_seconds = 0.0;
-  /// \name Batched-fold diagnostics, folded over shards (batch_fold.h):
-  /// staged/folded sums, max over any shard's widest block batch.
-  /// @{
-  int64_t batch_blocks_staged = 0;
-  int64_t batch_accumulators_folded = 0;
-  int64_t batch_max_accumulators_per_block = 0;
-  /// @}
 };
 
 /// \brief Legacy merged view of a whole-input kLeafMoments sweep.

@@ -71,8 +71,14 @@ namespace charles {
 /// score-probes section, both serialized unconditionally, so a version-3
 /// peer cannot parse either frame (and would reject the kind even if it
 /// could). The range moved past it — same policy as every bump before.
-inline constexpr int32_t kRemoteWireVersionMin = 4;
-inline constexpr int32_t kRemoteWireVersionMax = 4;
+///
+/// Version 5: ShardTaskResult ("CST1") lost the three batched-fold counters
+/// version 2 added (the batched fold path is gone), so the score-probes
+/// section now follows the kErrorPartials probes directly. A version-4 peer
+/// would read the first counter as the score-probe count; the range moved
+/// past it.
+inline constexpr int32_t kRemoteWireVersionMin = 5;
+inline constexpr int32_t kRemoteWireVersionMax = 5;
 /// @}
 
 /// Frame types of the remote protocol (net::Frame::type values).

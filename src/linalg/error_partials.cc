@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/wire.h"
-#include "linalg/kernels/kernel.h"
 #include "linalg/suffstats.h"
 
 namespace charles {
@@ -42,10 +41,9 @@ bool ErrorPartials::BitIdenticalTo(const ErrorPartials& other) const {
 namespace {
 
 /// The shared fold: per-block partials (each summed in index order from
-/// zero by a kernel block primitive) merged left-to-right — the
-/// decomposition-invariant computation every executor of a plan replays.
-/// `block_sum(base, count)` must return the row-order sum of the block's
-/// positional slice [base, base + count).
+/// zero) merged left-to-right — the decomposition-invariant computation
+/// every executor of a plan replays. `block_sum(base, count)` must return
+/// the row-order sum of the block's positional slice [base, base + count).
 template <typename BlockSum>
 ErrorPartials FoldBlocks(const std::vector<int64_t>& rows, int64_t block_rows,
                          BlockSum&& block_sum) {
@@ -65,82 +63,29 @@ ErrorPartials FoldBlocks(const std::vector<int64_t>& rows, int64_t block_rows,
 
 }  // namespace
 
-ErrorPartials AccumulateAbsDiffBlocks(const kernels::Kernel& kernel,
-                                      const std::vector<double>& a,
-                                      const std::vector<double>& b,
-                                      const std::vector<int64_t>& rows,
-                                      int64_t block_rows) {
-  return FoldBlocks(rows, block_rows, [&](int64_t base, int64_t count) {
-    return kernel.abs_diff_sum(a.data() + base, b.data() + base, count);
-  });
-}
-
 ErrorPartials AccumulateAbsDiffBlocks(const std::vector<double>& a,
                                       const std::vector<double>& b,
                                       const std::vector<int64_t>& rows,
                                       int64_t block_rows) {
-  return AccumulateAbsDiffBlocks(kernels::ActiveKernel(), a, b, rows,
-                                 block_rows);
-}
-
-ErrorPartials AccumulateAbsBlocks(const kernels::Kernel& kernel,
-                                  const std::vector<double>& values,
-                                  const std::vector<int64_t>& rows,
-                                  int64_t block_rows) {
   return FoldBlocks(rows, block_rows, [&](int64_t base, int64_t count) {
-    return kernel.abs_sum(values.data() + base, count);
+    double sum = 0.0;
+    for (int64_t i = base; i < base + count; ++i) {
+      sum += std::abs(a[static_cast<size_t>(i)] - b[static_cast<size_t>(i)]);
+    }
+    return sum;
   });
 }
 
 ErrorPartials AccumulateAbsBlocks(const std::vector<double>& values,
                                   const std::vector<int64_t>& rows,
                                   int64_t block_rows) {
-  return AccumulateAbsBlocks(kernels::ActiveKernel(), values, rows,
-                             block_rows);
-}
-
-std::vector<ErrorPartials> AccumulateAbsDiffBlocksBatch(
-    const kernels::Kernel& kernel,
-    const std::vector<const std::vector<double>*>& a,
-    const std::vector<const std::vector<double>*>& b,
-    const std::vector<int64_t>& rows, int64_t block_rows) {
-  const int64_t num_folds = static_cast<int64_t>(a.size());
-  std::vector<ErrorPartials> totals(a.size());
-  if (num_folds == 0) return totals;
-  std::vector<const double*> pa(a.size());
-  std::vector<const double*> pb(a.size());
-  std::vector<int64_t> counts(a.size());
-  std::vector<double> sums(a.size());
-  const int64_t* data = rows.data();
-  ForEachRowBlock(
-      data, static_cast<int64_t>(rows.size()), block_rows,
-      [&](int64_t /*block*/, const int64_t* block_rows_ptr, int64_t count) {
-        const int64_t base = block_rows_ptr - data;
-        for (int64_t e = 0; e < num_folds; ++e) {
-          pa[e] = a[e]->data() + base;
-          pb[e] = (e < static_cast<int64_t>(b.size()) && b[e] != nullptr)
-                      ? b[e]->data() + base
-                      : nullptr;
-          counts[e] = count;
-        }
-        kernel.error_fold_batch(pa.data(), pb.data(), counts.data(), num_folds,
-                                sums.data());
-        for (int64_t e = 0; e < num_folds; ++e) {
-          ErrorPartials block_partial;
-          block_partial.abs_error_sum = sums[e];
-          block_partial.n = count;
-          totals[e].Merge(block_partial);
-        }
-      });
-  return totals;
-}
-
-std::vector<ErrorPartials> AccumulateAbsDiffBlocksBatch(
-    const std::vector<const std::vector<double>*>& a,
-    const std::vector<const std::vector<double>*>& b,
-    const std::vector<int64_t>& rows, int64_t block_rows) {
-  return AccumulateAbsDiffBlocksBatch(kernels::ActiveKernel(), a, b, rows,
-                                      block_rows);
+  return FoldBlocks(rows, block_rows, [&](int64_t base, int64_t count) {
+    double sum = 0.0;
+    for (int64_t i = base; i < base + count; ++i) {
+      sum += std::abs(values[static_cast<size_t>(i)]);
+    }
+    return sum;
+  });
 }
 
 }  // namespace charles

@@ -33,10 +33,6 @@
 
 namespace charles {
 
-namespace kernels {
-struct Kernel;
-}  // namespace kernels
-
 /// \brief Accumulated L1-error partials: Σ|y − ŷ| and the row count.
 ///
 /// Accumulation order is the caller's contract (float addition is not
@@ -83,8 +79,6 @@ struct ErrorPartials {
 /// @{
 
 /// Canonical fold of Σ| a[i] − b[i] | (e.g. a = observed y, b = predictions).
-/// Per-block sums dispatch through the process-wide active kernel
-/// (linalg/kernels/kernel.h); every kernel produces the same bits.
 ErrorPartials AccumulateAbsDiffBlocks(const std::vector<double>& a,
                                       const std::vector<double>& b,
                                       const std::vector<int64_t>& rows,
@@ -94,35 +88,6 @@ ErrorPartials AccumulateAbsDiffBlocks(const std::vector<double>& a,
 ErrorPartials AccumulateAbsBlocks(const std::vector<double>& values,
                                   const std::vector<int64_t>& rows,
                                   int64_t block_rows);
-
-/// Batched canonical fold: `a.size()` positional folds sharing one ascending
-/// `rows` vector, evaluated with a single kernel error_fold_batch call per
-/// block. Entry e computes Σ|a[e][i] − b[e][i]| (or Σ|a[e][i]| when b[e] is
-/// null); each result is bit-identical to the corresponding single-fold
-/// AccumulateAbsDiffBlocks / AccumulateAbsBlocks. `b` must be empty (all
-/// abs-sum) or a.size() long.
-std::vector<ErrorPartials> AccumulateAbsDiffBlocksBatch(
-    const std::vector<const std::vector<double>*>& a,
-    const std::vector<const std::vector<double>*>& b,
-    const std::vector<int64_t>& rows, int64_t block_rows);
-
-/// \name Kernel-explicit variants (differential testing and benches).
-/// @{
-ErrorPartials AccumulateAbsDiffBlocks(const kernels::Kernel& kernel,
-                                      const std::vector<double>& a,
-                                      const std::vector<double>& b,
-                                      const std::vector<int64_t>& rows,
-                                      int64_t block_rows);
-ErrorPartials AccumulateAbsBlocks(const kernels::Kernel& kernel,
-                                  const std::vector<double>& values,
-                                  const std::vector<int64_t>& rows,
-                                  int64_t block_rows);
-std::vector<ErrorPartials> AccumulateAbsDiffBlocksBatch(
-    const kernels::Kernel& kernel,
-    const std::vector<const std::vector<double>*>& a,
-    const std::vector<const std::vector<double>*>& b,
-    const std::vector<int64_t>& rows, int64_t block_rows);
-/// @}
 
 /// @}
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/wire.h"
-#include "linalg/kernels/kernel.h"
 #include "linalg/suffstats.h"
 
 namespace charles {
@@ -45,53 +44,27 @@ bool ScorePartials::BitIdenticalTo(const ScorePartials& other) const {
          std::memcmp(&abs_error_sum, &other.abs_error_sum, sizeof(double)) == 0;
 }
 
-namespace {
-
-/// The shared fold: per-block partials (each produced in row order by a
-/// kernel block primitive) merged left-to-right — the same decomposition-
-/// invariant shape as error_partials.cc's FoldBlocks, carrying the exact
-/// count alongside the sum. `block_fold(base, count, &sum, &exact)` must
-/// fill the row-order sum and tally of the block's positional slice
-/// [base, base + count).
-template <typename BlockFold>
-ScorePartials FoldScoreBlocks(const std::vector<int64_t>& rows,
-                              int64_t block_rows, BlockFold&& block_fold) {
+ScorePartials AccumulateScoreDiffBlocks(const std::vector<double>& a,
+                                        const std::vector<double>& b,
+                                        const std::vector<int64_t>& rows,
+                                        int64_t block_rows, double tolerance) {
+  // Per-block partials, each folded in row order from zero, merged
+  // left-to-right — error_partials.cc's decomposition-invariant shape with
+  // the exact count carried alongside the sum. The sum chain is
+  // AccumulateAbsDiffBlocks' exactly.
   ScorePartials total;
   const int64_t* data = rows.data();
   ForEachRowBlock(data, static_cast<int64_t>(rows.size()), block_rows,
                   [&](int64_t /*block*/, const int64_t* block_rows_ptr,
                       int64_t count) {
                     ScorePartials block_partial;
-                    int64_t base = block_rows_ptr - data;
-                    block_fold(base, count, &block_partial.abs_error_sum,
-                               &block_partial.exact_count);
-                    block_partial.n = count;
+                    const size_t base = static_cast<size_t>(block_rows_ptr - data);
+                    for (size_t i = base; i < base + static_cast<size_t>(count); ++i) {
+                      block_partial.Accumulate(a[i], b[i], tolerance);
+                    }
                     total.Merge(block_partial);
                   });
   return total;
-}
-
-}  // namespace
-
-ScorePartials AccumulateScoreDiffBlocks(const kernels::Kernel& kernel,
-                                        const std::vector<double>& a,
-                                        const std::vector<double>& b,
-                                        const std::vector<int64_t>& rows,
-                                        int64_t block_rows, double tolerance) {
-  return FoldScoreBlocks(
-      rows, block_rows,
-      [&](int64_t base, int64_t count, double* sum, int64_t* exact) {
-        kernel.score_diff_sum(a.data() + base, b.data() + base, count,
-                              tolerance, sum, exact);
-      });
-}
-
-ScorePartials AccumulateScoreDiffBlocks(const std::vector<double>& a,
-                                        const std::vector<double>& b,
-                                        const std::vector<int64_t>& rows,
-                                        int64_t block_rows, double tolerance) {
-  return AccumulateScoreDiffBlocks(kernels::ActiveKernel(), a, b, rows,
-                                   block_rows, tolerance);
 }
 
 }  // namespace charles

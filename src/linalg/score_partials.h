@@ -35,10 +35,6 @@
 
 namespace charles {
 
-namespace kernels {
-struct Kernel;
-}  // namespace kernels
-
 /// \brief Accumulated accuracy partials: Σ|y − ŷ|, the within-tolerance
 /// count, and the row count.
 ///
@@ -106,17 +102,8 @@ struct ScorePartials {
 /// @{
 
 /// Canonical fold of (Σ|a[i] − b[i]|, #within tolerance) — e.g. a = observed
-/// y_new, b = predictions. Per-block work dispatches through the
-/// process-wide active kernel (linalg/kernels/kernel.h); every kernel
-/// produces the same bits.
+/// y_new, b = predictions.
 ScorePartials AccumulateScoreDiffBlocks(const std::vector<double>& a,
-                                        const std::vector<double>& b,
-                                        const std::vector<int64_t>& rows,
-                                        int64_t block_rows, double tolerance);
-
-/// Kernel-explicit variant (differential testing and benches).
-ScorePartials AccumulateScoreDiffBlocks(const kernels::Kernel& kernel,
-                                        const std::vector<double>& a,
                                         const std::vector<double>& b,
                                         const std::vector<int64_t>& rows,
                                         int64_t block_rows, double tolerance);

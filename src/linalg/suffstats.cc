@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/wire.h"
-#include "linalg/kernels/kernel.h"
 
 namespace charles {
 
@@ -323,28 +322,37 @@ bool SufficientStats::BitIdenticalTo(const SufficientStats& other) const {
          bytes_equal(xty_, other.xty_);
 }
 
-// The per-block arithmetic lives behind the kernel seam
-// (linalg/kernels/kernel.h): the scalar kernel is the original per-row
-// gather/accumulate loop extracted verbatim, and every other kernel must
-// reproduce its bits exactly, so dispatching by active kernel is invisible
-// to results. The entry points here own only the block structure — grouping
-// rows into canonical blocks and folding the per-block partials in order.
+namespace {
 
-SufficientStats AccumulateRows(
-    const kernels::Kernel& kernel,
+/// The canonical block fold: accumulates `count` rows into fresh stats,
+/// gathering one value per column in column order. Indexed (`rows` non-null)
+/// and contiguous (rows [base, base + count)) blocks share this one loop so
+/// their arithmetic can never diverge — the distributed bit-identity
+/// contract depends on the range variant replaying the indexed variant's
+/// operations exactly.
+SufficientStats AccumulateBlock(
     const std::vector<const std::vector<double>*>& columns,
-    const std::vector<double>& y, const int64_t* rows, int64_t count) {
-  return kernel.suffstats_block(columns, y, rows, /*base=*/0, count);
+    const std::vector<double>& y, const int64_t* rows, int64_t base,
+    int64_t count) {
+  SufficientStats stats(static_cast<int64_t>(columns.size()));
+  std::vector<double> features(columns.size());
+  for (int64_t r = 0; r < count; ++r) {
+    size_t row = static_cast<size_t>(rows != nullptr ? rows[r] : base + r);
+    for (size_t f = 0; f < columns.size(); ++f) features[f] = (*columns[f])[row];
+    stats.Accumulate(features.data(), y[row]);
+  }
+  return stats;
 }
 
+}  // namespace
+
 SufficientStats AccumulateRows(
     const std::vector<const std::vector<double>*>& columns,
     const std::vector<double>& y, const int64_t* rows, int64_t count) {
-  return AccumulateRows(kernels::ActiveKernel(), columns, y, rows, count);
+  return AccumulateBlock(columns, y, rows, /*base=*/0, count);
 }
 
 SufficientStats AccumulateRowBlocks(
-    const kernels::Kernel& kernel,
     const std::vector<const std::vector<double>*>& columns,
     const std::vector<double>& y, const std::vector<int64_t>& rows,
     int64_t block_rows) {
@@ -353,39 +361,23 @@ SufficientStats AccumulateRowBlocks(
   ForEachRowBlock(rows.data(), static_cast<int64_t>(rows.size()), block_rows,
                   [&](int64_t /*block*/, const int64_t* block_rows_ptr,
                       int64_t count) {
-                    CHARLES_CHECK_OK(merged.Merge(kernel.suffstats_block(
+                    CHARLES_CHECK_OK(merged.Merge(AccumulateBlock(
                         columns, y, block_rows_ptr, /*base=*/0, count)));
                   });
   return merged;
 }
 
-SufficientStats AccumulateRowBlocks(
-    const std::vector<const std::vector<double>*>& columns,
-    const std::vector<double>& y, const std::vector<int64_t>& rows,
-    int64_t block_rows) {
-  return AccumulateRowBlocks(kernels::ActiveKernel(), columns, y, rows,
-                             block_rows);
-}
-
 SufficientStats AccumulateRangeBlocks(
-    const kernels::Kernel& kernel,
     const std::vector<const std::vector<double>*>& columns,
     const std::vector<double>& y, int64_t num_rows, int64_t block_rows) {
   CHARLES_CHECK_GE(block_rows, 1);
   SufficientStats merged(static_cast<int64_t>(columns.size()));
   for (int64_t begin = 0; begin < num_rows; begin += block_rows) {
     int64_t end = begin + block_rows < num_rows ? begin + block_rows : num_rows;
-    CHARLES_CHECK_OK(merged.Merge(kernel.suffstats_block(
+    CHARLES_CHECK_OK(merged.Merge(AccumulateBlock(
         columns, y, /*rows=*/nullptr, begin, end - begin)));
   }
   return merged;
-}
-
-SufficientStats AccumulateRangeBlocks(
-    const std::vector<const std::vector<double>*>& columns,
-    const std::vector<double>& y, int64_t num_rows, int64_t block_rows) {
-  return AccumulateRangeBlocks(kernels::ActiveKernel(), columns, y, num_rows,
-                               block_rows);
 }
 
 }  // namespace charles

@@ -42,11 +42,6 @@
 
 namespace charles {
 
-namespace kernels {
-struct Kernel;
-struct SuffStatsAccess;
-}  // namespace kernels
-
 /// \brief Accumulated OLS moments (XᵀX, Xᵀy, yᵀy, n) over the augmented
 /// design z = (1, x₁..x_p), stored relative to a first-observation shift.
 class SufficientStats {
@@ -143,10 +138,6 @@ class SufficientStats {
   /// @}
 
  private:
-  /// The vectorized kernel writes block moments straight into the buffers
-  /// (linalg/kernels/suffstats_access.h) — the one private doorway.
-  friend struct kernels::SuffStatsAccess;
-
   int64_t p_ = 0;
   int64_t n_ = 0;
   /// Shift point: the first accumulated observation (features, response).
@@ -199,9 +190,6 @@ void ForEachRowBlock(const int64_t* rows, int64_t count, int64_t block_rows,
 /// One partial: accumulates `count` rows (gathering one value per column, in
 /// column order) into fresh stats. The shared primitive of engine-side and
 /// shard-side accumulation — both must produce byte-identical partials.
-/// Dispatches through the process-wide active kernel
-/// (linalg/kernels/kernel.h); every kernel produces the same bits, so the
-/// dispatch is invisible to results.
 SufficientStats AccumulateRows(
     const std::vector<const std::vector<double>*>& columns,
     const std::vector<double>& y, const int64_t* rows, int64_t count);
@@ -219,27 +207,6 @@ SufficientStats AccumulateRowBlocks(
 SufficientStats AccumulateRangeBlocks(
     const std::vector<const std::vector<double>*>& columns,
     const std::vector<double>& y, int64_t num_rows, int64_t block_rows);
-
-/// \name Kernel-explicit variants
-///
-/// The same computations through a caller-chosen kernel instead of the
-/// process-wide active one — the differential surface of the kernel-parity
-/// harness (tests/kernel_parity_test.cc) and the scalar-vs-simd bench grid.
-/// @{
-SufficientStats AccumulateRows(
-    const kernels::Kernel& kernel,
-    const std::vector<const std::vector<double>*>& columns,
-    const std::vector<double>& y, const int64_t* rows, int64_t count);
-SufficientStats AccumulateRowBlocks(
-    const kernels::Kernel& kernel,
-    const std::vector<const std::vector<double>*>& columns,
-    const std::vector<double>& y, const std::vector<int64_t>& rows,
-    int64_t block_rows);
-SufficientStats AccumulateRangeBlocks(
-    const kernels::Kernel& kernel,
-    const std::vector<const std::vector<double>*>& columns,
-    const std::vector<double>& y, int64_t num_rows, int64_t block_rows);
-/// @}
 
 /// @}
 

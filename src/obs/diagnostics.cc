@@ -19,10 +19,6 @@ RunDiagnostics RunDiagnostics::FromSummary(const SummaryList& summary) {
   d.candidates_deduped = summary.candidates_deduped;
 
   d.threads_used = summary.threads_used;
-  d.kernel_used = summary.kernel_used;
-  d.batched_blocks_staged = summary.batched_blocks_staged;
-  d.batched_fold_accumulators = summary.batched_fold_accumulators;
-  d.batch_leaves_per_block_max = summary.batch_leaves_per_block_max;
 
   d.leaf_fits_computed = summary.leaf_fits_computed;
   d.leaf_fits_reused = summary.leaf_fits_reused;
@@ -81,10 +77,6 @@ std::string RunDiagnostics::ToJson() const {
 
   w.Key("execution").BeginObject();
   w.Key("threads_used").Int(threads_used);
-  w.Key("kernel_used").String(kernel_used);
-  w.Key("batched_blocks_staged").Int(batched_blocks_staged);
-  w.Key("batched_fold_accumulators").Int(batched_fold_accumulators);
-  w.Key("batch_leaves_per_block_max").Int(batch_leaves_per_block_max);
   w.EndObject();
 
   w.Key("cache").BeginObject();

@@ -29,8 +29,10 @@ namespace obs {
 struct RunDiagnostics {
   /// Bumped only on a breaking change (key removed or renamed, or a key's
   /// meaning changed). Version 2: `timings_seconds` lists all six pipeline
-  /// stages, which now sum to `elapsed`.
-  static constexpr int kSchemaVersion = 2;
+  /// stages, which now sum to `elapsed`. Version 3: `execution` lost
+  /// the kernel name and the three batched-fold counters (one fold path
+  /// remains, so there is nothing to report).
+  static constexpr int kSchemaVersion = 3;
 
   std::string run_id;        ///< 16-hex run fingerprint
   int64_t summaries = 0;     ///< ranked summaries returned
@@ -45,10 +47,6 @@ struct RunDiagnostics {
 
   // Execution shape.
   int threads_used = 1;
-  std::string kernel_used;
-  int64_t batched_blocks_staged = 0;
-  int64_t batched_fold_accumulators = 0;
-  int64_t batch_leaves_per_block_max = 0;
 
   // Leaf-fit cache.
   int64_t leaf_fits_computed = 0;

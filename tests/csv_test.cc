@@ -39,6 +39,32 @@ TEST(CsvReaderTest, NullTokens) {
   EXPECT_TRUE(t.GetValue(1, 1).is_null());
 }
 
+TEST(CsvReaderTest, NonFiniteCellInNumericColumnIsRejected) {
+  // nan/inf used to fail ParseDouble and silently widen the column to
+  // string; the read now fails naming the record, column and cell.
+  for (const char* token : {"nan", "inf", "-inf"}) {
+    std::string csv = std::string("id,score\n1,1.5\n2,") + token + "\n3,2.5\n";
+    Status status = CsvReader::ReadString(csv).status();
+    ASSERT_TRUE(status.IsInvalidArgument()) << token << ": " << status.ToString();
+    EXPECT_NE(status.message().find("record 3"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("column 'score'"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find(std::string("'") + token + "'"),
+              std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(CsvReaderTest, NonFiniteTokenInStringColumnStaysString) {
+  // "nan" (or "Inf") among real strings is just a string — the column is not
+  // otherwise numeric.
+  Table t = CsvReader::ReadString("id,name\n1,ann\n2,nan\n3,Inf\n").ValueOrDie();
+  EXPECT_EQ(t.schema().field(1).type, TypeKind::kString);
+  EXPECT_EQ(t.GetValue(1, 1), Value("nan"));
+  EXPECT_EQ(t.GetValue(2, 1), Value("Inf"));
+}
+
 TEST(CsvReaderTest, QuotedFieldsWithDelimitersAndNewlines) {
   Table t =
       CsvReader::ReadString("a,b\n\"hello, world\",\"line1\nline2\"\n").ValueOrDie();

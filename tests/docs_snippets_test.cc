@@ -22,28 +22,6 @@ charles::Result<charles::SummaryList> Quickstart(
   return charles::SummarizeChanges(snapshot_2016, snapshot_2017, options);
 }
 
-// --- docs/api.md "Selecting the kernel backend" ----------------------------
-
-charles::Result<charles::SummaryList> PinnedKernelRun(
-    const charles::Table& snapshot_2016, const charles::Table& snapshot_2017) {
-  charles::CharlesOptions options;
-  options.target_attribute = "bonus";
-  options.key_columns = {"name"};
-  options.kernel_backend = "scalar";  // or "simd"; default "auto" = best available
-  return charles::SummarizeChanges(snapshot_2016, snapshot_2017, options);
-}
-
-// --- docs/api.md "Batched block folds" --------------------------------------
-
-charles::Result<charles::SummaryList> BatchedFoldRun(
-    const charles::Table& snapshot_2016, const charles::Table& snapshot_2017) {
-  charles::CharlesOptions options;
-  options.target_attribute = "bonus";
-  options.key_columns = {"name"};
-  options.batch_fold = "on";  // or "off"; default "auto" batches shared sweeps
-  return charles::SummarizeChanges(snapshot_2016, snapshot_2017, options);
-}
-
 // --- docs/api.md "Serving / repeated queries" ------------------------------
 
 class SummaryService {
@@ -214,7 +192,7 @@ charles::Result<std::string> DiagnosticsJson(const charles::Table& source,
   charles::Result<charles::SummaryList> result =
       charles::SummarizeChanges(source, target, options);
   if (!result.ok()) return result.status();
-  return result->ToJson();  // {"schema_version":2,"run_id":"…",…}
+  return result->ToJson();  // {"schema_version":3,"run_id":"…",…}
 }
 
 // --- docs/observability.md "Log correlation" --------------------------------
@@ -239,49 +217,6 @@ TEST(DocsSnippetsTest, QuickstartRuns) {
   SummaryList result = Quickstart(source, target).ValueOrDie();
   ASSERT_FALSE(result.summaries.empty());
   EXPECT_GT(result.summaries[0].scores().score, 0.0);
-}
-
-TEST(DocsSnippetsTest, PinnedKernelSnippetMatchesEveryBackend) {
-  Table source = MakeExample1Source().ValueOrDie();
-  Table target = MakeExample1Target().ValueOrDie();
-  SummaryList pinned = PinnedKernelRun(source, target).ValueOrDie();
-  // Default batch_fold ("auto") stages blocks on this multi-leaf workload,
-  // which kernel_used reports as a "+batch" suffix on the pinned kernel.
-  EXPECT_EQ(pinned.kernel_used, "scalar+batch");
-  // The documented promise: the backend knob never changes a bit of output.
-  for (const char* backend : {"simd", "auto"}) {
-    CharlesOptions options;
-    options.target_attribute = "bonus";
-    options.key_columns = {"name"};
-    options.kernel_backend = backend;
-    SummaryList run = SummarizeChanges(source, target, options).ValueOrDie();
-    EXPECT_FALSE(run.kernel_used.empty());
-    ASSERT_EQ(pinned.summaries.size(), run.summaries.size());
-    for (size_t i = 0; i < pinned.summaries.size(); ++i) {
-      EXPECT_EQ(pinned.summaries[i].ToString(), run.summaries[i].ToString());
-    }
-  }
-}
-
-TEST(DocsSnippetsTest, BatchedFoldSnippetMatchesEveryMode) {
-  Table source = MakeExample1Source().ValueOrDie();
-  Table target = MakeExample1Target().ValueOrDie();
-  SummaryList batched = BatchedFoldRun(source, target).ValueOrDie();
-  EXPECT_GT(batched.batched_blocks_staged, 0);
-  EXPECT_GT(batched.batch_leaves_per_block_max, 0);
-  EXPECT_NE(batched.kernel_used.find("+batch"), std::string::npos);
-  // The documented promise: the batching knob never changes a bit of output.
-  for (const char* mode : {"off", "auto"}) {
-    CharlesOptions options;
-    options.target_attribute = "bonus";
-    options.key_columns = {"name"};
-    options.batch_fold = mode;
-    SummaryList run = SummarizeChanges(source, target, options).ValueOrDie();
-    ASSERT_EQ(batched.summaries.size(), run.summaries.size());
-    for (size_t i = 0; i < batched.summaries.size(); ++i) {
-      EXPECT_EQ(batched.summaries[i].ToString(), run.summaries[i].ToString());
-    }
-  }
 }
 
 TEST(DocsSnippetsTest, ServingSnippetWarmsAcrossQueries) {
@@ -422,7 +357,7 @@ TEST(DocsSnippetsTest, DiagnosticsSnippetEmitsVersionedSchema) {
   options.target_attribute = "bonus";
   options.key_columns = {"name"};
   std::string json = DiagnosticsJson(source, target, options).ValueOrDie();
-  EXPECT_EQ(json.find("{\"schema_version\":2"), 0u);
+  EXPECT_EQ(json.find("{\"schema_version\":3"), 0u);
   EXPECT_NE(json.find("\"run_id\":\""), std::string::npos);
   EXPECT_NE(json.find("\"elapsed\":"), std::string::npos);
 }

@@ -1,34 +1,37 @@
 /// \file
-/// Differential kernel-parity harness (ISSUE 7): the vectorized kernel must
-/// reproduce the scalar reference kernel's bits exactly — per block, per
-/// fold, per op — for hundreds of seeded (rows × cols × block_size) shapes,
-/// including tail blocks shorter than the block size, single-row blocks,
-/// sparse index subsets, and adversarial magnitudes (1e±30 mixes,
-/// denormals, negative zeros). This harness is what makes the intra-block
-/// kernels safe to rewrite: any reassociation, contraction, or accumulation
-/// shortcut that changes even one bit of one block fails here.
+/// Block-fold parity harness: the canonical block folds (linalg/suffstats.h,
+/// linalg/error_partials.h, linalg/score_partials.h) and the shard task
+/// kernel (ExecuteShardTaskKernel) must reproduce, bit for bit, the
+/// computation the determinism contract defines — fresh per-block partials
+/// accumulated in row order, merged in ascending block order — for hundreds
+/// of seeded (rows × cols × block_size) shapes, including tail blocks
+/// shorter than the block size, single-row blocks, sparse index subsets, and
+/// adversarial magnitudes (1e±30 mixes, denormals, negative zeros). Any
+/// reassociation, contraction, or accumulation shortcut that changes even
+/// one bit of one block fails here.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <random>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "linalg/batch_fold.h"
+#include "core/partition_finder.h"
+#include "distributed/backend.h"
+#include "distributed/shard_planner.h"
 #include "linalg/error_partials.h"
 #include "linalg/score_partials.h"
-#include "linalg/kernels/block_stage.h"
-#include "linalg/kernels/kernel.h"
 #include "linalg/suffstats.h"
+#include "table/table_builder.h"
 
 namespace charles {
 namespace {
-
-using kernels::Kernel;
-using kernels::ScalarKernel;
-using kernels::SimdKernel;
 
 /// One adversarial double: a mixture of benign values, huge/tiny decades
 /// (1e±30), denormals, and signed zeros — the inputs where any intra-block
@@ -97,11 +100,36 @@ ShapeCase MakeShapeCase(int64_t num_rows, int64_t num_cols, bool subset,
   return c;
 }
 
+/// The contract's definition of one block partial, written out independently
+/// of the library fold: fresh stats, one Accumulate per row in row order.
+SufficientStats ReferenceBlock(const ShapeCase& c, const int64_t* rows,
+                               int64_t count) {
+  SufficientStats stats(static_cast<int64_t>(c.columns.size()));
+  std::vector<double> x(c.columns.size());
+  for (int64_t r = 0; r < count; ++r) {
+    size_t row = static_cast<size_t>(rows[r]);
+    for (size_t f = 0; f < c.columns.size(); ++f) x[f] = (*c.columns[f])[row];
+    stats.Accumulate(x.data(), c.y[row]);
+  }
+  return stats;
+}
+
+/// The contract's definition of the whole fold: reference block partials
+/// merged in ascending block order.
+SufficientStats ReferenceRowBlocks(const ShapeCase& c,
+                                   const std::vector<int64_t>& rows,
+                                   int64_t block_rows) {
+  SufficientStats merged(static_cast<int64_t>(c.columns.size()));
+  ForEachRowBlock(rows.data(), static_cast<int64_t>(rows.size()), block_rows,
+                  [&](int64_t /*block*/, const int64_t* ptr, int64_t n) {
+                    EXPECT_TRUE(merged.Merge(ReferenceBlock(c, ptr, n)).ok());
+                  });
+  return merged;
+}
+
 // --- SufficientStats block folds --------------------------------------------
 
 TEST(KernelParityTest, HundredsOfSeededShapesBitIdentical) {
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
   int shapes_checked = 0;
   for (uint64_t seed = 0; seed < 150; ++seed) {
     std::mt19937_64 rng(seed * 7919 + 17);
@@ -113,10 +141,9 @@ TEST(KernelParityTest, HundredsOfSeededShapesBitIdentical) {
     // one-block cases, and blocks larger than the data.
     const int64_t blocks[] = {1, 3, 7, 16, 64, num_rows, num_rows + 13};
     for (int64_t block_rows : blocks) {
-      SufficientStats expected =
-          AccumulateRowBlocks(scalar, c.columns, c.y, c.rows, block_rows);
+      SufficientStats expected = ReferenceRowBlocks(c, c.rows, block_rows);
       SufficientStats actual =
-          AccumulateRowBlocks(simd, c.columns, c.y, c.rows, block_rows);
+          AccumulateRowBlocks(c.columns, c.y, c.rows, block_rows);
       ASSERT_TRUE(actual.BitIdenticalTo(expected))
           << "seed " << seed << " rows " << num_rows << " cols " << num_cols
           << " block " << block_rows << " subset " << subset;
@@ -127,27 +154,22 @@ TEST(KernelParityTest, HundredsOfSeededShapesBitIdentical) {
 }
 
 TEST(KernelParityTest, ContiguousRangeFoldBitIdentical) {
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
+  // The range fold must equal the indexed fold over the identity index set
+  // — the contract that lets shards address blocks either way — and both
+  // must equal the reference, tail block included.
   for (uint64_t seed = 0; seed < 50; ++seed) {
     std::mt19937_64 rng(seed * 104729 + 5);
     int64_t num_rows = 1 + static_cast<int64_t>(rng() % 300);
     int64_t num_cols = 1 + static_cast<int64_t>(rng() % 5);
     ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/false, rng);
     for (int64_t block_rows : {1L, 5L, 32L, num_rows, num_rows + 1}) {
-      SufficientStats expected =
-          AccumulateRangeBlocks(scalar, c.columns, c.y, num_rows, block_rows);
-      SufficientStats actual =
-          AccumulateRangeBlocks(simd, c.columns, c.y, num_rows, block_rows);
-      ASSERT_TRUE(actual.BitIdenticalTo(expected))
-          << "seed " << seed << " rows " << num_rows << " block " << block_rows;
-      // And the range fold must equal the indexed fold over the identity
-      // index set — the contract that lets shards address blocks either way.
-      std::vector<int64_t> identity(static_cast<size_t>(num_rows));
-      for (int64_t r = 0; r < num_rows; ++r) identity[static_cast<size_t>(r)] = r;
+      SufficientStats range =
+          AccumulateRangeBlocks(c.columns, c.y, num_rows, block_rows);
       SufficientStats indexed =
-          AccumulateRowBlocks(simd, c.columns, c.y, identity, block_rows);
-      ASSERT_TRUE(indexed.BitIdenticalTo(actual))
+          AccumulateRowBlocks(c.columns, c.y, c.rows, block_rows);
+      ASSERT_TRUE(range.BitIdenticalTo(indexed))
+          << "seed " << seed << " rows " << num_rows << " block " << block_rows;
+      ASSERT_TRUE(range.BitIdenticalTo(ReferenceRowBlocks(c, c.rows, block_rows)))
           << "seed " << seed << " block " << block_rows;
     }
   }
@@ -156,8 +178,6 @@ TEST(KernelParityTest, ContiguousRangeFoldBitIdentical) {
 TEST(KernelParityTest, SingleBlockPrimitiveBitIdentical) {
   // The raw block primitive (one fresh partial per call), including the
   // single-row and empty-block edges.
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
   for (uint64_t seed = 0; seed < 50; ++seed) {
     std::mt19937_64 rng(seed * 31 + 7);
     int64_t num_rows = 1 + static_cast<int64_t>(rng() % 80);
@@ -165,10 +185,9 @@ TEST(KernelParityTest, SingleBlockPrimitiveBitIdentical) {
     ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/true, rng);
     int64_t count = static_cast<int64_t>(c.rows.size());
     for (int64_t take : {int64_t{0}, int64_t{1}, count / 2, count}) {
-      SufficientStats expected =
-          AccumulateRows(scalar, c.columns, c.y, c.rows.data(), take);
+      SufficientStats expected = ReferenceBlock(c, c.rows.data(), take);
       SufficientStats actual =
-          AccumulateRows(simd, c.columns, c.y, c.rows.data(), take);
+          AccumulateRows(c.columns, c.y, c.rows.data(), take);
       ASSERT_TRUE(actual.BitIdenticalTo(expected))
           << "seed " << seed << " take " << take;
       EXPECT_EQ(actual.n(), take);
@@ -180,10 +199,7 @@ TEST(KernelParityTest, MergeAcrossShardBoundarySplitsBitIdentical) {
   // The coordinator's computation: shards each produce *per-block* partials
   // and the merge folds every block in ascending order. Splitting the row
   // set at any block boundary and folding the two shards' blocks into one
-  // stats must be bit-identical to the central scalar fold — with the simd
-  // kernel producing the shard partials.
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
+  // stats must be bit-identical to the one-pass central fold.
   for (uint64_t seed = 0; seed < 60; ++seed) {
     std::mt19937_64 rng(seed * 13 + 3);
     int64_t num_rows = 16 + static_cast<int64_t>(rng() % 200);
@@ -192,7 +208,7 @@ TEST(KernelParityTest, MergeAcrossShardBoundarySplitsBitIdentical) {
     ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/true, rng);
 
     SufficientStats expected =
-        AccumulateRowBlocks(scalar, c.columns, c.y, c.rows, block_rows);
+        AccumulateRowBlocks(c.columns, c.y, c.rows, block_rows);
 
     // Split position: the first row index at or after a random block
     // boundary — exactly where the shard planner is allowed to cut.
@@ -211,9 +227,7 @@ TEST(KernelParityTest, MergeAcrossShardBoundarySplitsBitIdentical) {
                       block_rows,
                       [&](int64_t /*block*/, const int64_t* ptr, int64_t n) {
                         ASSERT_TRUE(
-                            merged
-                                .Merge(AccumulateRows(simd, c.columns, c.y,
-                                                      ptr, n))
+                            merged.Merge(AccumulateRows(c.columns, c.y, ptr, n))
                                 .ok());
                       });
     }
@@ -224,9 +238,26 @@ TEST(KernelParityTest, MergeAcrossShardBoundarySplitsBitIdentical) {
 
 // --- ErrorPartials folds -----------------------------------------------------
 
+/// Reference Σ|a[i] − b[i]| (or Σ|a[i]| when b is null) per block, each from
+/// zero in index order, merged in ascending block order.
+ErrorPartials ReferenceAbsBlocks(const std::vector<double>& a,
+                                 const std::vector<double>* b,
+                                 const std::vector<int64_t>& rows,
+                                 int64_t block_rows) {
+  ErrorPartials total;
+  ForEachRowBlock(rows.data(), static_cast<int64_t>(rows.size()), block_rows,
+                  [&](int64_t /*block*/, const int64_t* ptr, int64_t n) {
+                    size_t base = static_cast<size_t>(ptr - rows.data());
+                    ErrorPartials block;
+                    for (size_t i = base; i < base + static_cast<size_t>(n); ++i) {
+                      block.Accumulate(a[i], b != nullptr ? (*b)[i] : 0.0);
+                    }
+                    total.Merge(block);
+                  });
+  return total;
+}
+
 TEST(KernelParityTest, AbsDiffAndAbsFoldsBitIdentical) {
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
   for (uint64_t seed = 0; seed < 100; ++seed) {
     std::mt19937_64 rng(seed * 911 + 1);
     int64_t num_rows = 1 + static_cast<int64_t>(rng() % 400);
@@ -235,40 +266,129 @@ TEST(KernelParityTest, AbsDiffAndAbsFoldsBitIdentical) {
     std::vector<double> a = AdversarialColumn(static_cast<int64_t>(rows.size()), rng);
     std::vector<double> b = AdversarialColumn(static_cast<int64_t>(rows.size()), rng);
     for (int64_t block_rows : {1L, 7L, 64L, num_rows + 1}) {
-      ErrorPartials expected_diff =
-          AccumulateAbsDiffBlocks(scalar, a, b, rows, block_rows);
-      ErrorPartials actual_diff =
-          AccumulateAbsDiffBlocks(simd, a, b, rows, block_rows);
-      ASSERT_TRUE(actual_diff.BitIdenticalTo(expected_diff))
+      ASSERT_TRUE(AccumulateAbsDiffBlocks(a, b, rows, block_rows)
+                      .BitIdenticalTo(ReferenceAbsBlocks(a, &b, rows, block_rows)))
           << "seed " << seed << " block " << block_rows;
-      ErrorPartials expected_abs = AccumulateAbsBlocks(scalar, a, rows, block_rows);
-      ErrorPartials actual_abs = AccumulateAbsBlocks(simd, a, rows, block_rows);
-      ASSERT_TRUE(actual_abs.BitIdenticalTo(expected_abs))
+      ASSERT_TRUE(AccumulateAbsBlocks(a, rows, block_rows)
+                      .BitIdenticalTo(ReferenceAbsBlocks(a, nullptr, rows, block_rows)))
           << "seed " << seed << " block " << block_rows;
     }
   }
 }
 
+// --- Probe folds on the shard task kernel -----------------------------------
+
+/// A ShardInput over a ShapeCase: shortlist "c0".."c{p-1}", one leaf (the
+/// case's row subset). ColumnCache has no public inserter, so the columns go
+/// through a throwaway table — Value(double) round-trips bits exactly.
+/// Values, intercept and coefficients are drawn from one moderate range, not
+/// the adversarial decades: there a 1e30-scale error absorbs every other
+/// row's rounding, so a changed ŷ evaluation order would go unseen.
+struct ProbeCase {
+  ShapeCase shape;
+  std::vector<std::string> shortlist;
+  ColumnCache columns;
+  std::vector<double> y_old;
+  RowSet leaf;
+  ShardInput input;
+  ErrorProbe probe;
+};
+
+std::unique_ptr<ProbeCase> MakeProbeCase(int64_t num_rows, int64_t num_cols,
+                                         std::mt19937_64& rng) {
+  auto pc = std::make_unique<ProbeCase>();
+  pc->shape = MakeShapeCase(num_rows, num_cols, /*subset=*/true, rng);
+  std::uniform_real_distribution<double> moderate(-100.0, 100.0);
+  for (std::vector<double>& column : pc->shape.column_storage) {
+    for (double& v : column) v = moderate(rng);
+  }
+  for (double& v : pc->shape.y) v = moderate(rng);
+  std::vector<Field> fields;
+  for (int64_t f = 0; f < num_cols; ++f) {
+    pc->shortlist.push_back("c" + std::to_string(f));
+    fields.push_back(Field{pc->shortlist.back(), TypeKind::kDouble, false});
+  }
+  TableBuilder builder(Schema::Make(fields).ValueOrDie());
+  for (int64_t r = 0; r < num_rows; ++r) {
+    std::vector<Value> row;
+    for (int64_t f = 0; f < num_cols; ++f) {
+      row.emplace_back(pc->shape.column_storage[static_cast<size_t>(f)]
+                                               [static_cast<size_t>(r)]);
+    }
+    builder.AppendRow(row).AbortIfNotOk();
+  }
+  Table table = builder.Finish().ValueOrDie();
+  pc->columns = ColumnCache::Build(table, pc->shortlist).ValueOrDie();
+  pc->y_old.assign(static_cast<size_t>(num_rows), 0.0);
+  pc->leaf = RowSet(pc->shape.rows);
+  pc->input.shortlist = &pc->shortlist;
+  pc->input.columns = &pc->columns;
+  pc->input.y_old = &pc->y_old;
+  pc->input.y_new = &pc->shape.y;
+  pc->input.leaves.push_back(&pc->leaf);
+  pc->probe.leaf = 0;
+  pc->probe.intercept = moderate(rng);
+  for (int64_t f = 0; f < num_cols; ++f) {
+    pc->probe.features.push_back(f);
+    pc->probe.coefficients.push_back(moderate(rng));
+  }
+  return pc;
+}
+
+/// Runs `task` on every shard of `plan` and concatenates the per-block
+/// partials of probe 0 in shard (= ascending block) order.
+template <typename Partials>
+std::vector<std::pair<int64_t, Partials>> RunProbeBlocks(
+    const ProbeCase& pc, const ShardPlan& plan, const ShardTask& task) {
+  std::vector<std::pair<int64_t, Partials>> blocks;
+  for (int64_t s = 0; s < plan.num_shards(); ++s) {
+    ShardTaskResult result =
+        ExecuteShardTaskKernel(pc.input, plan, s, task).ValueOrDie();
+    if constexpr (std::is_same_v<Partials, ErrorPartials>) {
+      for (const ProbeShardErrors& probe : result.probes) {
+        blocks.insert(blocks.end(), probe.blocks.begin(), probe.blocks.end());
+      }
+    } else {
+      for (const ProbeShardScores& probe : result.score_probes) {
+        blocks.insert(blocks.end(), probe.blocks.begin(), probe.blocks.end());
+      }
+    }
+  }
+  return blocks;
+}
+
 TEST(KernelParityTest, ProbeAbsErrorSumBitIdentical) {
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  for (uint64_t seed = 0; seed < 100; ++seed) {
+  // kErrorPartials block partials equal the central canonical fold of
+  // |y − ŷ| with ŷ accumulated left-to-right (LinearModel::PredictRow's
+  // order), at any shard count.
+  for (uint64_t seed = 0; seed < 40; ++seed) {
     std::mt19937_64 rng(seed * 2221 + 9);
     int64_t num_rows = 1 + static_cast<int64_t>(rng() % 300);
-    int64_t num_cols = static_cast<int64_t>(rng() % 4);
-    ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/true, rng);
-    double intercept = AdversarialValue(rng);
-    std::vector<double> coefficients(static_cast<size_t>(num_cols));
-    for (double& v : coefficients) v = AdversarialValue(rng);
-    int64_t count = static_cast<int64_t>(c.rows.size());
-    for (int64_t take : {int64_t{1}, count / 3, count}) {
-      if (take < 1) continue;
-      double expected = scalar.probe_abs_error_sum(
-          intercept, coefficients.data(), c.columns, c.y, c.rows.data(), take);
-      double actual = simd.probe_abs_error_sum(
-          intercept, coefficients.data(), c.columns, c.y, c.rows.data(), take);
-      ASSERT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0)
-          << "seed " << seed << " take " << take;
+    int64_t num_cols = 1 + static_cast<int64_t>(rng() % 3);
+    int64_t block_rows = 1 + static_cast<int64_t>(rng() % 40);
+    std::unique_ptr<ProbeCase> pc = MakeProbeCase(num_rows, num_cols, rng);
+    const ShapeCase& c = pc->shape;
+    std::vector<double> y(c.rows.size()), y_hat(c.rows.size());
+    for (size_t i = 0; i < c.rows.size(); ++i) {
+      size_t row = static_cast<size_t>(c.rows[i]);
+      y[i] = c.y[row];
+      y_hat[i] = pc->probe.intercept;
+      for (size_t f = 0; f < c.columns.size(); ++f) {
+        y_hat[i] += pc->probe.coefficients[f] * (*c.columns[f])[row];
+      }
+    }
+    ErrorPartials expected = AccumulateAbsDiffBlocks(y, y_hat, c.rows, block_rows);
+    ShardTask task;
+    task.kind = ShardTaskKind::kErrorPartials;
+    task.probes.push_back(pc->probe);
+    for (int shards : {1, 3}) {
+      ErrorPartials merged;
+      for (const auto& [block, partials] : RunProbeBlocks<ErrorPartials>(
+               *pc, PlanShards(num_rows, block_rows, shards), task)) {
+        merged.Merge(partials);
+      }
+      ASSERT_TRUE(merged.BitIdenticalTo(expected))
+          << "seed " << seed << " shards " << shards;
     }
   }
 }
@@ -276,8 +396,6 @@ TEST(KernelParityTest, ProbeAbsErrorSumBitIdentical) {
 // --- ScorePartials folds ------------------------------------------------------
 
 TEST(KernelParityTest, ScoreDiffSumBitIdenticalAndSumMatchesAbsDiff) {
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
   for (uint64_t seed = 0; seed < 100; ++seed) {
     std::mt19937_64 rng(seed * 433 + 5);
     int64_t num_rows = 1 + static_cast<int64_t>(rng() % 400);
@@ -287,418 +405,67 @@ TEST(KernelParityTest, ScoreDiffSumBitIdenticalAndSumMatchesAbsDiff) {
     // Spread the band across the adversarial decades so some seeds tally
     // nothing, some everything, most a genuine mix.
     double tolerance = std::pow(10.0, static_cast<int>(rng() % 61) - 30);
+    int64_t within = 0;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (std::abs(a[i] - b[i]) <= tolerance) ++within;
+    }
     for (int64_t block_rows : {1L, 7L, 64L, num_rows + 1}) {
-      ScorePartials expected =
-          AccumulateScoreDiffBlocks(scalar, a, b, rows, block_rows, tolerance);
-      ScorePartials actual =
-          AccumulateScoreDiffBlocks(simd, a, b, rows, block_rows, tolerance);
-      ASSERT_TRUE(actual.BitIdenticalTo(expected))
-          << "seed " << seed << " block " << block_rows;
+      ScorePartials score =
+          AccumulateScoreDiffBlocks(a, b, rows, block_rows, tolerance);
+      EXPECT_EQ(score.exact_count, within) << "seed " << seed;
       // The Σ chain is the error fold's chain: same addends, same order.
-      ErrorPartials error_fold =
-          AccumulateAbsDiffBlocks(scalar, a, b, rows, block_rows);
-      ASSERT_EQ(std::memcmp(&expected.abs_error_sum, &error_fold.abs_error_sum,
-                            sizeof(double)),
-                0)
+      ErrorPartials error_fold = AccumulateAbsDiffBlocks(a, b, rows, block_rows);
+      ASSERT_TRUE(score.error().BitIdenticalTo(error_fold))
           << "seed " << seed << " block " << block_rows;
-      ASSERT_EQ(expected.n, error_fold.n);
     }
   }
 }
 
 TEST(KernelParityTest, ProbeScoreSumBitIdenticalAndSumMatchesProbeError) {
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  for (uint64_t seed = 0; seed < 100; ++seed) {
+  // A kScorePartials probe replays the kErrorPartials probe's ŷ and Σ chains
+  // exactly — per block, at any shard count — which is what lets a score
+  // round double as the error baseline (ScorePartials::error()).
+  for (uint64_t seed = 0; seed < 40; ++seed) {
     std::mt19937_64 rng(seed * 3907 + 11);
     int64_t num_rows = 1 + static_cast<int64_t>(rng() % 300);
-    int64_t num_cols = static_cast<int64_t>(rng() % 4);
-    ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/true, rng);
-    double intercept = AdversarialValue(rng);
-    std::vector<double> coefficients(static_cast<size_t>(num_cols));
-    for (double& v : coefficients) v = AdversarialValue(rng);
-    double tolerance = std::pow(10.0, static_cast<int>(rng() % 61) - 30);
-    int64_t count = static_cast<int64_t>(c.rows.size());
-    for (int64_t take : {int64_t{1}, count / 3, count}) {
-      if (take < 1) continue;
-      double expected_sum = 0.0, actual_sum = 0.0;
-      int64_t expected_exact = 0, actual_exact = 0;
-      scalar.probe_score_sum(intercept, coefficients.data(), c.columns, c.y,
-                             c.rows.data(), take, tolerance, &expected_sum,
-                             &expected_exact);
-      simd.probe_score_sum(intercept, coefficients.data(), c.columns, c.y,
-                           c.rows.data(), take, tolerance, &actual_sum,
-                           &actual_exact);
-      ASSERT_EQ(std::memcmp(&expected_sum, &actual_sum, sizeof(double)), 0)
-          << "seed " << seed << " take " << take;
-      ASSERT_EQ(expected_exact, actual_exact)
-          << "seed " << seed << " take " << take;
-      // The ŷ + Σ chain replays probe_abs_error_sum's exactly.
-      double error_sum = scalar.probe_abs_error_sum(
-          intercept, coefficients.data(), c.columns, c.y, c.rows.data(), take);
-      ASSERT_EQ(std::memcmp(&expected_sum, &error_sum, sizeof(double)), 0)
-          << "seed " << seed << " take " << take;
-    }
-  }
-}
-
-TEST(KernelParityTest, GatherBitIdentical) {
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  std::mt19937_64 rng(1234);
-  std::vector<double> src = AdversarialColumn(500, rng);
-  std::vector<int64_t> rows = MakeRows(500, /*subset=*/true, rng);
-  for (int64_t stride : {1L, 2L, 5L}) {
-    std::vector<double> expected(rows.size() * static_cast<size_t>(stride), -1.0);
-    std::vector<double> actual = expected;
-    scalar.gather(src.data(), rows.data(), static_cast<int64_t>(rows.size()),
-                  expected.data(), stride);
-    simd.gather(src.data(), rows.data(), static_cast<int64_t>(rows.size()),
-                actual.data(), stride);
-    ASSERT_EQ(std::memcmp(expected.data(), actual.data(),
-                          expected.size() * sizeof(double)),
-              0)
-        << "stride " << stride;
-  }
-}
-
-// --- Batched folds (ISSUE 8): staged blocks vs per-leaf sweeps --------------
-
-/// N random sorted leaf row sets over [0, n) — overlapping, fragmenting the
-/// blocks differently per leaf (the multi-leaf batching workload).
-std::vector<std::vector<int64_t>> MakeLeafSets(int64_t n, int64_t num_leaves,
-                                               std::mt19937_64& rng) {
-  std::vector<std::vector<int64_t>> leaves;
-  for (int64_t l = 0; l < num_leaves; ++l) {
-    leaves.push_back(MakeRows(n, /*subset=*/true, rng));
-  }
-  return leaves;
-}
-
-TEST(KernelParityTest, BatchedLeafMomentsBitIdenticalToPerLeaf) {
-  // The tentpole contract: one staged block folded for N leaves at once must
-  // reproduce the per-leaf scalar fold bit for bit — per leaf, per kernel,
-  // for adversarial magnitudes, tail blocks, and single-leaf batches.
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  for (uint64_t seed = 0; seed < 60; ++seed) {
-    std::mt19937_64 rng(seed * 6101 + 11);
-    int64_t num_rows = 1 + static_cast<int64_t>(rng() % 250);
-    int64_t num_cols = static_cast<int64_t>(rng() % 6);  // includes p = 0
-    int64_t num_leaves = 1 + static_cast<int64_t>(rng() % 5);  // includes 1
-    ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/false, rng);
-    std::vector<std::vector<int64_t>> leaves =
-        MakeLeafSets(num_rows, num_leaves, rng);
-    std::vector<kernels::BatchLeafRequest> requests(leaves.size());
-    for (size_t l = 0; l < leaves.size(); ++l) {
-      requests[l].rows = leaves[l].data();
-      requests[l].count = static_cast<int64_t>(leaves[l].size());
-    }
-    for (int64_t block_rows : {1L, 7L, 64L, num_rows, num_rows + 13}) {
-      for (const Kernel* kernel : {&scalar, &simd}) {
-        kernels::BlockStager stager;
-        kernels::BatchFoldCounters counters;
-        std::vector<SufficientStats> batched =
-            kernels::BatchAccumulateRowBlocks(*kernel, c.columns, c.y,
-                                              requests, 0, num_rows,
-                                              block_rows, &stager, &counters);
-        ASSERT_EQ(batched.size(), leaves.size());
-        for (size_t l = 0; l < leaves.size(); ++l) {
-          SufficientStats expected = AccumulateRowBlocks(
-              scalar, c.columns, c.y, leaves[l], block_rows);
-          ASSERT_TRUE(batched[l].BitIdenticalTo(expected))
-              << "seed " << seed << " kernel " << kernel->name << " leaf "
-              << l << " block " << block_rows;
+    int64_t num_cols = 1 + static_cast<int64_t>(rng() % 3);
+    int64_t block_rows = 1 + static_cast<int64_t>(rng() % 40);
+    std::unique_ptr<ProbeCase> pc = MakeProbeCase(num_rows, num_cols, rng);
+    // |errors| here are O(1e4) at most: spread the band so some seeds tally
+    // nothing, some everything, most a genuine mix.
+    double tolerance = std::pow(10.0, static_cast<int>(rng() % 7) - 2);
+    ShardTask error_task;
+    error_task.kind = ShardTaskKind::kErrorPartials;
+    error_task.probes.push_back(pc->probe);
+    ShardTask score_task = error_task;
+    score_task.kind = ShardTaskKind::kScorePartials;
+    score_task.score_tolerance = tolerance;
+    for (int shards : {1, 3}) {
+      ShardPlan plan = PlanShards(num_rows, block_rows, shards);
+      auto errors = RunProbeBlocks<ErrorPartials>(*pc, plan, error_task);
+      auto scores = RunProbeBlocks<ScorePartials>(*pc, plan, score_task);
+      ASSERT_EQ(errors.size(), scores.size());
+      int64_t within = 0;
+      for (size_t b = 0; b < errors.size(); ++b) {
+        ASSERT_EQ(errors[b].first, scores[b].first);
+        ASSERT_TRUE(scores[b].second.error().BitIdenticalTo(errors[b].second))
+            << "seed " << seed << " shards " << shards << " block "
+            << errors[b].first;
+        within += scores[b].second.exact_count;
+      }
+      // The tally counts the same per-row errors, recomputed here.
+      int64_t expected_within = 0;
+      for (int64_t row : pc->shape.rows) {
+        size_t r = static_cast<size_t>(row);
+        double y_hat = pc->probe.intercept;
+        for (size_t f = 0; f < pc->shape.columns.size(); ++f) {
+          y_hat += pc->probe.coefficients[f] * (*pc->shape.columns[f])[r];
         }
-        EXPECT_GT(counters.blocks_staged, 0);
-        EXPECT_LE(counters.max_accumulators_per_block, num_leaves);
+        if (std::abs(pc->shape.y[r] - y_hat) <= tolerance) ++expected_within;
       }
+      EXPECT_EQ(within, expected_within) << "seed " << seed;
     }
   }
-}
-
-TEST(KernelParityTest, BatchedFoldAcrossShardBoundaryBitIdentical) {
-  // Leaf sets straddling a shard boundary: each shard batches its sub-range
-  // independently (block-aligned range starts, just like ExecuteShardTask)
-  // and the coordinator-style ascending-block Merge of the two halves must
-  // equal the central scalar per-leaf fold.
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    std::mt19937_64 rng(seed * 353 + 29);
-    int64_t num_rows = 32 + static_cast<int64_t>(rng() % 200);
-    int64_t num_cols = 1 + static_cast<int64_t>(rng() % 4);
-    int64_t block_rows = 1 + static_cast<int64_t>(rng() % 24);
-    int64_t num_leaves = 2 + static_cast<int64_t>(rng() % 4);
-    ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/false, rng);
-    std::vector<std::vector<int64_t>> leaves =
-        MakeLeafSets(num_rows, num_leaves, rng);
-    // A block-aligned cut strictly inside the data, as PlanShards makes them.
-    int64_t boundary =
-        block_rows * (1 + static_cast<int64_t>(
-                              rng() % static_cast<uint64_t>(
-                                          (num_rows - 1) / block_rows + 1)));
-    if (boundary > num_rows) boundary = num_rows;
-
-    for (const Kernel* kernel : {&scalar, &simd}) {
-      std::vector<SufficientStats> merged(leaves.size(),
-                                          SufficientStats(num_cols));
-      kernels::BlockStager stager;
-      kernels::BatchFoldCounters counters;
-      const int64_t range_bounds[3] = {0, boundary, num_rows};
-      for (int half = 0; half < 2; ++half) {
-        const int64_t lo = range_bounds[half], hi = range_bounds[half + 1];
-        std::vector<std::vector<int64_t>> part(leaves.size());
-        std::vector<kernels::BatchLeafRequest> requests;
-        std::vector<size_t> ordinals;
-        for (size_t l = 0; l < leaves.size(); ++l) {
-          for (int64_t row : leaves[l]) {
-            if (row >= lo && row < hi) part[l].push_back(row);
-          }
-          if (part[l].empty()) continue;
-          kernels::BatchLeafRequest request;
-          request.rows = part[l].data();
-          request.count = static_cast<int64_t>(part[l].size());
-          requests.push_back(request);
-          ordinals.push_back(l);
-        }
-        kernels::BatchFoldLeafMoments(
-            *kernel, c.columns, c.y, requests, lo, hi, block_rows, &stager,
-            &counters,
-            [&](int64_t ordinal, int64_t /*block*/, SufficientStats&& stats) {
-              ASSERT_TRUE(
-                  merged[ordinals[static_cast<size_t>(ordinal)]].Merge(stats)
-                      .ok());
-            });
-      }
-      for (size_t l = 0; l < leaves.size(); ++l) {
-        SufficientStats expected =
-            AccumulateRowBlocks(scalar, c.columns, c.y, leaves[l], block_rows);
-        ASSERT_TRUE(merged[l].BitIdenticalTo(expected))
-            << "seed " << seed << " kernel " << kernel->name << " leaf " << l
-            << " boundary " << boundary;
-      }
-    }
-  }
-}
-
-TEST(KernelParityTest, ErrorFoldBatchBitIdenticalToSingleFolds) {
-  // E mixed abs-diff / abs-sum folds sharing one row set, one batched kernel
-  // call per block — each entry bit-identical to its single-fold scalar
-  // reference.
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  for (uint64_t seed = 0; seed < 50; ++seed) {
-    std::mt19937_64 rng(seed * 487 + 3);
-    int64_t num_rows = 1 + static_cast<int64_t>(rng() % 300);
-    std::vector<int64_t> rows = MakeRows(num_rows, (rng() % 2) == 0, rng);
-    int64_t num_entries = 1 + static_cast<int64_t>(rng() % 5);
-    std::vector<std::vector<double>> a_storage, b_storage;
-    std::vector<const std::vector<double>*> a, b;
-    for (int64_t e = 0; e < num_entries; ++e) {
-      a_storage.push_back(
-          AdversarialColumn(static_cast<int64_t>(rows.size()), rng));
-      b_storage.push_back(
-          AdversarialColumn(static_cast<int64_t>(rows.size()), rng));
-    }
-    for (int64_t e = 0; e < num_entries; ++e) {
-      a.push_back(&a_storage[static_cast<size_t>(e)]);
-      // Every other entry is an abs-sum fold (null b).
-      b.push_back(e % 2 == 0 ? &b_storage[static_cast<size_t>(e)] : nullptr);
-    }
-    for (int64_t block_rows : {1L, 7L, 64L, num_rows + 1}) {
-      for (const Kernel* kernel : {&scalar, &simd}) {
-        std::vector<ErrorPartials> batched =
-            AccumulateAbsDiffBlocksBatch(*kernel, a, b, rows, block_rows);
-        ASSERT_EQ(batched.size(), a.size());
-        for (int64_t e = 0; e < num_entries; ++e) {
-          ErrorPartials expected =
-              b[static_cast<size_t>(e)] != nullptr
-                  ? AccumulateAbsDiffBlocks(scalar, a_storage[static_cast<size_t>(e)],
-                                            b_storage[static_cast<size_t>(e)],
-                                            rows, block_rows)
-                  : AccumulateAbsBlocks(scalar, a_storage[static_cast<size_t>(e)],
-                                        rows, block_rows);
-          ASSERT_TRUE(batched[static_cast<size_t>(e)].BitIdenticalTo(expected))
-              << "seed " << seed << " kernel " << kernel->name << " entry "
-              << e << " block " << block_rows;
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelParityTest, BatchedProbeEvalBitIdenticalToPerProbe) {
-  // M probes with distinct feature subsets evaluated against staged blocks,
-  // vs the per-probe scalar block sweep (the RunErrorPartials reference).
-  const Kernel& scalar = ScalarKernel();
-  const Kernel& simd = SimdKernel();
-  for (uint64_t seed = 0; seed < 50; ++seed) {
-    std::mt19937_64 rng(seed * 769 + 21);
-    int64_t num_rows = 1 + static_cast<int64_t>(rng() % 250);
-    int64_t num_cols = 1 + static_cast<int64_t>(rng() % 5);
-    int64_t num_probes = 1 + static_cast<int64_t>(rng() % 5);
-    ShapeCase c = MakeShapeCase(num_rows, num_cols, /*subset=*/false, rng);
-    std::vector<std::vector<int64_t>> probe_rows =
-        MakeLeafSets(num_rows, num_probes, rng);
-    struct ProbeModel {
-      double intercept;
-      std::vector<double> coefficients;
-      std::vector<int64_t> features;
-    };
-    std::vector<ProbeModel> models(static_cast<size_t>(num_probes));
-    std::vector<kernels::BatchProbeRequest> requests(
-        static_cast<size_t>(num_probes));
-    for (int64_t p = 0; p < num_probes; ++p) {
-      ProbeModel& model = models[static_cast<size_t>(p)];
-      model.intercept = AdversarialValue(rng);
-      int64_t num_features = static_cast<int64_t>(rng() % (num_cols + 1));
-      for (int64_t f = 0; f < num_features; ++f) {
-        model.coefficients.push_back(AdversarialValue(rng));
-        model.features.push_back(static_cast<int64_t>(rng() %
-                                                      static_cast<uint64_t>(num_cols)));
-      }
-      kernels::BatchProbeRequest& request = requests[static_cast<size_t>(p)];
-      request.intercept = model.intercept;
-      request.coefficients = model.coefficients.data();
-      request.feature_columns = model.features.data();
-      request.num_features = num_features;
-      request.rows = probe_rows[static_cast<size_t>(p)].data();
-      request.count = static_cast<int64_t>(probe_rows[static_cast<size_t>(p)].size());
-    }
-    for (int64_t block_rows : {1L, 16L, num_rows, num_rows + 7}) {
-      for (const Kernel* kernel : {&scalar, &simd}) {
-        kernels::BlockStager stager;
-        kernels::BatchFoldCounters counters;
-        std::vector<ErrorPartials> batched(static_cast<size_t>(num_probes));
-        kernels::BatchFoldProbeErrors(
-            *kernel, c.columns, c.y, requests, 0, num_rows, block_rows,
-            &stager, &counters,
-            [&](int64_t ordinal, int64_t /*block*/, ErrorPartials&& partial) {
-              batched[static_cast<size_t>(ordinal)].Merge(partial);
-            });
-        for (int64_t p = 0; p < num_probes; ++p) {
-          const ProbeModel& model = models[static_cast<size_t>(p)];
-          std::vector<const std::vector<double>*> feature_columns;
-          for (int64_t f : model.features) {
-            feature_columns.push_back(c.columns[static_cast<size_t>(f)]);
-          }
-          ErrorPartials expected;
-          ForEachRowBlock(
-              probe_rows[static_cast<size_t>(p)].data(),
-              static_cast<int64_t>(probe_rows[static_cast<size_t>(p)].size()),
-              block_rows, [&](int64_t /*block*/, const int64_t* ptr, int64_t n) {
-                ErrorPartials partial;
-                partial.abs_error_sum = scalar.probe_abs_error_sum(
-                    model.intercept, model.coefficients.data(),
-                    feature_columns, c.y, ptr, n);
-                partial.n = n;
-                expected.Merge(partial);
-              });
-          ASSERT_TRUE(
-              batched[static_cast<size_t>(p)].BitIdenticalTo(expected))
-              << "seed " << seed << " kernel " << kernel->name << " probe "
-              << p << " block " << block_rows;
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelParityTest, StagedBlockIsABitCopy) {
-  // The first leg of the bit-identity argument: staged buffers are memcpy
-  // images of the source column slices — every addend the batched kernels
-  // read equals the per-leaf kernels' addend by construction.
-  std::mt19937_64 rng(4242);
-  ShapeCase c = MakeShapeCase(300, 4, /*subset=*/false, rng);
-  kernels::BlockStager stager;
-  for (int64_t begin : {0L, 64L, 256L}) {
-    int64_t count = std::min<int64_t>(100, 300 - begin);
-    kernels::StagedBlock staged = stager.Stage(c.columns, &c.y, begin, count);
-    ASSERT_EQ(staged.num_columns, 4);
-    ASSERT_EQ(staged.count, count);
-    ASSERT_EQ(staged.row_begin, begin);
-    for (int64_t col = 0; col < staged.num_columns; ++col) {
-      EXPECT_EQ(std::memcmp(staged.columns[col],
-                            c.columns[static_cast<size_t>(col)]->data() + begin,
-                            static_cast<size_t>(count) * sizeof(double)),
-                0)
-          << "begin " << begin << " col " << col;
-    }
-    EXPECT_EQ(std::memcmp(staged.y, c.y.data() + begin,
-                          static_cast<size_t>(count) * sizeof(double)),
-              0);
-  }
-}
-
-TEST(KernelParityTest, ParseBatchFoldModes) {
-  EXPECT_TRUE(kernels::ParseBatchFoldMode("auto").ok());
-  EXPECT_TRUE(kernels::ParseBatchFoldMode("on").ok());
-  EXPECT_TRUE(kernels::ParseBatchFoldMode("off").ok());
-  EXPECT_TRUE(kernels::ParseBatchFoldMode("always").status().IsInvalidArgument());
-  EXPECT_TRUE(kernels::ParseBatchFoldMode("").status().IsInvalidArgument());
-  EXPECT_FALSE(kernels::ShouldBatchFold(kernels::BatchFoldMode::kOff, 8));
-  EXPECT_FALSE(kernels::ShouldBatchFold(kernels::BatchFoldMode::kAuto, 1));
-  EXPECT_TRUE(kernels::ShouldBatchFold(kernels::BatchFoldMode::kAuto, 2));
-  EXPECT_TRUE(kernels::ShouldBatchFold(kernels::BatchFoldMode::kOn, 1));
-  EXPECT_FALSE(kernels::ShouldBatchFold(kernels::BatchFoldMode::kOn, 0));
-}
-
-// --- Registry, dispatch, and the compensated-summation oracle ---------------
-
-TEST(KernelParityTest, ParseAndResolveBackends) {
-  EXPECT_TRUE(kernels::ParseKernelBackend("auto").ok());
-  EXPECT_TRUE(kernels::ParseKernelBackend("scalar").ok());
-  EXPECT_TRUE(kernels::ParseKernelBackend("simd").ok());
-  EXPECT_TRUE(kernels::ParseKernelBackend("avx512").status().IsInvalidArgument());
-  EXPECT_TRUE(kernels::ParseKernelBackend("").status().IsInvalidArgument());
-
-  EXPECT_STREQ(
-      kernels::ResolveKernel(kernels::KernelBackend::kScalar).name, "scalar");
-  // kAuto and kSimd resolve to the same kernel (the vectorized one, or the
-  // scalar fallback on hardware the build's ISA excludes — never null).
-  EXPECT_EQ(&kernels::ResolveKernel(kernels::KernelBackend::kAuto),
-            &kernels::ResolveKernel(kernels::KernelBackend::kSimd));
-}
-
-TEST(KernelParityTest, ActiveKernelInstallAndDispatch) {
-  // The dispatching entry points follow the installed kernel; because the
-  // kernels are bit-identical, both installations produce the same stats.
-  std::mt19937_64 rng(99);
-  ShapeCase c = MakeShapeCase(100, 3, /*subset=*/false, rng);
-  const Kernel& scalar_installed =
-      kernels::SetActiveKernel(kernels::KernelBackend::kScalar);
-  EXPECT_STREQ(scalar_installed.name, "scalar");
-  SufficientStats via_scalar = AccumulateRowBlocks(c.columns, c.y, c.rows, 16);
-  const Kernel& simd_installed =
-      kernels::SetActiveKernel(kernels::KernelBackend::kSimd);
-  EXPECT_EQ(&kernels::ActiveKernel(), &simd_installed);
-  SufficientStats via_simd = AccumulateRowBlocks(c.columns, c.y, c.rows, 16);
-  EXPECT_TRUE(via_simd.BitIdenticalTo(via_scalar));
-  kernels::SetActiveKernel(kernels::KernelBackend::kAuto);
-}
-
-TEST(KernelParityTest, NeumaierSumIsAnAccuracyOracleNotAKernel) {
-  // Compensated summation recovers the small addend a naive fold loses —
-  // which is exactly why it may never back a canonical fold: it computes
-  // *different bits* than the contract fixes. It serves as the harness's
-  // accuracy oracle instead.
-  std::vector<double> values = {1e16, 1.0, -1e16};
-  double naive = 0.0;
-  for (double v : values) naive += v;
-  EXPECT_EQ(naive, 0.0);  // the 1.0 is absorbed
-  EXPECT_EQ(kernels::NeumaierSum(values.data(), 3), 1.0);
-
-  // On benign data the canonical fold agrees with the oracle to high
-  // relative accuracy — the headroom claim of the bench grid.
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> unit(-1.0, 1.0);
-  std::vector<double> benign(4096);
-  for (double& v : benign) v = unit(rng);
-  double plain = 0.0;
-  for (double v : benign) plain += v;
-  double compensated = kernels::NeumaierSum(benign.data(), 4096);
-  EXPECT_NEAR(plain, compensated, 1e-10);
 }
 
 }  // namespace

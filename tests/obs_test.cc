@@ -353,7 +353,10 @@ TEST(ObsDiagnosticsTest, RunDiagnosticsJsonHasVersionedSchema) {
   obs::RunDiagnostics diagnostics = obs::RunDiagnostics::FromSummary(summary);
   std::string json = diagnostics.ToJson();
   EXPECT_EQ(json, summary.ToJson());  // SummaryList::ToJson delegates
-  EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema_version\":3"), std::string::npos) << json;
+  // Schema 3: `execution` carries the thread count alone.
+  EXPECT_NE(json.find("\"execution\":{\"threads_used\":1}"), std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"run_id\":\"00000000deadbeef\""), std::string::npos);
   EXPECT_NE(json.find("\"candidates_evaluated\":42"), std::string::npos);
   EXPECT_NE(json.find("\"shards_used\":4"), std::string::npos);

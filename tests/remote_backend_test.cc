@@ -380,16 +380,17 @@ TEST(RemoteBackendTest, VersionSkewedWorkerIsExcludedAtHandshake) {
 }
 
 TEST(RemoteBackendTest, PreviousWireVersionWorkerIsRejectedAtHandshake) {
-  // The concrete v3 → v4 skew: a worker from the build before kScorePartials
-  // (wire range [3, 3]) must be excluded at the handshake. If it were allowed
-  // to negotiate, it would mis-parse the unconditional trailing
-  // score_tolerance on every CTK1 frame — the reject is what keeps the skew
-  // a clean handshake error instead of a mid-run parse failure.
+  // The concrete v4 → v5 skew: a worker from the build before the CST1
+  // batch counters were dropped (wire range [4, 4]) must be excluded at the
+  // handshake. If it were allowed to negotiate, its CST1 replies would carry
+  // three extra counters this build mis-parses as the score-probe section —
+  // the reject is what keeps the skew a clean handshake error instead of a
+  // mid-run parse failure.
   SyntheticInput s = MakeSyntheticInput(200);
-  WorkerServiceOptions v3;
-  v3.version_min = 3;
-  v3.version_max = 3;
-  std::unique_ptr<LoopbackWorker> worker = StartWorker(std::move(v3));
+  WorkerServiceOptions v4;
+  v4.version_min = 4;
+  v4.version_max = 4;
+  std::unique_ptr<LoopbackWorker> worker = StartWorker(std::move(v4));
   std::unique_ptr<RemoteBackend> remote = MakeBackend({worker->endpoint()});
   ShardPlan plan = PlanShards(200, 64, 2);
   Status status =
