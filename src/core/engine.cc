@@ -86,15 +86,15 @@ std::shared_ptr<const SufficientStats> FindOrAccumulateLeafStats(
   // the fast path instead (see LeafStatsWorkspace::block_rows).
   if (ws.block_rows < 1) return nullptr;
   if (ws.local != nullptr) {
-    auto it = ws.local->find(rows.indices());
+    auto it = ws.local->find(rows);
     if (it != ws.local->end()) return it->second;
   }
   CharlesEngine::LeafKey key;
   if (ws.shared != nullptr) {
-    key = CharlesEngine::LeafKey{ws.fingerprint, 0, rows.indices()};
+    key = CharlesEngine::LeafKey{ws.fingerprint, 0, rows};
     std::shared_ptr<const SufficientStats> found;
     if (ws.shared->Lookup(key, &found)) {
-      if (ws.local != nullptr) ws.local->emplace(rows.indices(), found);
+      if (ws.local != nullptr) ws.local->emplace(rows, found);
       return found;
     }
   }
@@ -104,44 +104,41 @@ std::shared_ptr<const SufficientStats> FindOrAccumulateLeafStats(
       std::make_shared<const SufficientStats>(
           AccumulateRowBlocks(cols, y_new, rows.indices(), ws.block_rows));
   if (ws.shared != nullptr) ws.shared->Insert(std::move(key), out);
-  if (ws.local != nullptr) ws.local->emplace(rows.indices(), out);
+  if (ws.local != nullptr) ws.local->emplace(rows, out);
   return out;
 }
 
-/// \brief Rebuilds a full LeafFit from its compact cached form.
+/// \brief Re-evaluates a leaf's per-row predictions from its fitted
+/// transform.
 ///
-/// Predictions are re-evaluated from the cached feature columns through the
-/// same PredictRow dot product the original fit used on its gathered matrix,
-/// so the rehydrated fit is bit-identical to the one that was cached.
-/// Returns false (leaving `out` unspecified) when a feature column is
-/// missing from the cache; the caller then treats the lookup as a miss.
-bool RehydrateLeafFit(const SharedLeafFit& compact, const RowSet& rows,
-                      const std::vector<double>& y_old,
-                      const ColumnCache* column_cache,
-                      CharlesEngine::LeafFit* out) {
-  out->transform = compact.transform;
-  out->partition_mae = compact.partition_mae;
-  out->score = compact.score;
-  out->has_score = compact.has_score;
-  out->predictions.clear();
-  out->predictions.reserve(static_cast<size_t>(rows.size()));
-  if (compact.transform.is_no_change()) {
-    for (int64_t row : rows) {
-      out->predictions.push_back(y_old[static_cast<size_t>(row)]);
-    }
-    return true;
+/// Features come from the cached columns when they resolve, else from
+/// `source`; either way each row goes through the same PredictRow dot product
+/// the original fit used on its gathered matrix, so the predictions are
+/// bit-identical to the ones FitLeaf produced.
+Result<std::vector<double>> PredictLeafRows(const LinearTransform& transform,
+                                            const Table& source, const RowSet& rows,
+                                            const std::vector<double>& y_old,
+                                            const ColumnCache* column_cache) {
+  std::vector<double> out;
+  out.reserve(static_cast<size_t>(rows.size()));
+  if (transform.is_no_change()) {
+    for (int64_t row : rows) out.push_back(y_old[static_cast<size_t>(row)]);
+    return out;
   }
-  if (column_cache == nullptr) return false;
-  const LinearModel& model = compact.transform.model();
+  const LinearModel& model = transform.model();
   std::vector<const std::vector<double>*> cols;
-  if (!column_cache->ResolveColumns(model.feature_names, &cols)) return false;
-  std::vector<double> features(cols.size());
-  for (int64_t r = 0; r < rows.size(); ++r) {
-    size_t row = static_cast<size_t>(rows[r]);
-    for (size_t f = 0; f < cols.size(); ++f) features[f] = (*cols[f])[row];
-    out->predictions.push_back(model.PredictRow(features.data()));
+  if (column_cache == nullptr ||
+      !column_cache->ResolveColumns(model.feature_names, &cols)) {
+    return transform.Apply(source, rows);
   }
-  return true;
+  std::vector<double> features(cols.size());
+  for (int64_t row : rows) {
+    for (size_t f = 0; f < cols.size(); ++f) {
+      features[f] = (*cols[f])[static_cast<size_t>(row)];
+    }
+    out.push_back(model.PredictRow(features.data()));
+  }
+  return out;
 }
 
 }  // namespace
@@ -169,7 +166,7 @@ Result<CharlesEngine::LeafFit> CharlesEngine::FitLeaf(
   const double* shard_max_delta = nullptr;
   if (stats_workspace != nullptr &&
       stats_workspace->nochange_max_delta != nullptr) {
-    auto it = stats_workspace->nochange_max_delta->find(rows.indices());
+    auto it = stats_workspace->nochange_max_delta->find(rows);
     if (it != stats_workspace->nochange_max_delta->end()) {
       shard_max_delta = &it->second;
     }
@@ -274,7 +271,7 @@ Result<CharlesEngine::LeafFit> CharlesEngine::FitLeaf(
   const ScorePartials* score_evidence = nullptr;
   if (canonical_error && have_model &&
       stats_workspace->score_evidence != nullptr) {
-    auto it = stats_workspace->score_evidence->find(rows.indices());
+    auto it = stats_workspace->score_evidence->find(rows);
     if (it != stats_workspace->score_evidence->end() &&
         t_index < it->second.valid.size() && it->second.valid[t_index] != 0) {
       score_evidence = &it->second.partials[t_index];
@@ -373,71 +370,71 @@ Result<ChangeSummary> CharlesEngine::BuildSummary(
     ct.coverage = rows.Coverage(n);
 
     // Tiered lookup: worker-local cache (lock-free), then the cross-worker
-    // sharded cache, then an actual fit published to both tiers. The shared
-    // tier stores fits compactly (no predictions; see SharedLeafFit), so a
-    // shared hit rehydrates the predictions from the cached columns. Fits
-    // are deterministic in (rows, T) and rehydration replays the original
-    // prediction arithmetic, so which tier serves a hit never changes the
-    // resulting summary.
-    const LeafFit* fit = nullptr;
-    LeafFit local;
+    // sharded cache, then an actual fit published to both tiers. Both tiers
+    // store the compact SharedLeafFit, with no per-row data: the row-free
+    // sweep merges the cached score partials, and every other path rebuilds
+    // the predictions of a cached fit below. Fits are deterministic in
+    // (rows, T) and a rebuild replays the original prediction arithmetic,
+    // so which tier serves a hit never changes the resulting summary.
+    const SharedLeafFit* fit = nullptr;
+    SharedLeafFit compact;
+    std::vector<double> predictions;  // set when this call ran FitLeaf
+    auto fit_leaf = [&]() -> Status {
+      CHARLES_ASSIGN_OR_RETURN(
+          LeafFit fresh, FitLeaf(source, y_old, y_new, rows, transform_attrs,
+                                 column_cache, stats_workspace, t_index, stats));
+      if (stats != nullptr) ++stats->computed;
+      predictions = std::move(fresh.predictions);
+      compact = SharedLeafFit{std::move(fresh.transform), fresh.partition_mae,
+                              fresh.score, fresh.has_score};
+      return Status::OK();
+    };
     if (cache != nullptr) {
-      auto it = cache->find(rows.indices());
+      auto it = cache->find(rows);
       if (it != cache->end()) {
         if (stats != nullptr) ++stats->local_hits;
-        fit = &it->second;
       } else {
         LeafKey key;  // built once per local miss; shared by Lookup and Insert
+        bool shared_hit = false;
         if (shared_cache != nullptr) {
-          key = LeafKey{cache_fingerprint, t_index, rows.indices()};
-          SharedLeafFit compact;
-          if (shared_cache->Lookup(key, &compact) &&
-              RehydrateLeafFit(compact, rows, y_old, column_cache, &local)) {
-            if (stats != nullptr) ++stats->shared_hits;
-            it = cache->emplace(rows.indices(), std::move(local)).first;
-            fit = &it->second;
-          }
+          key = LeafKey{cache_fingerprint, t_index, rows};
+          shared_hit = shared_cache->Lookup(key, &compact);
+          if (shared_hit && stats != nullptr) ++stats->shared_hits;
         }
-        if (fit == nullptr) {
-          CHARLES_ASSIGN_OR_RETURN(
-              local, FitLeaf(source, y_old, y_new, rows, transform_attrs, column_cache,
-                             stats_workspace, t_index, stats));
-          if (stats != nullptr) ++stats->computed;
-          if (shared_cache != nullptr) {
-            shared_cache->Insert(std::move(key),
-                                 SharedLeafFit{local.transform, local.partition_mae,
-                                               local.score, local.has_score});
-          }
-          it = cache->emplace(rows.indices(), std::move(local)).first;
-          fit = &it->second;
+        if (!shared_hit) {
+          CHARLES_RETURN_NOT_OK(fit_leaf());
+          if (shared_cache != nullptr) shared_cache->Insert(std::move(key), compact);
         }
+        it = cache->emplace(rows, std::move(compact)).first;
       }
+      fit = &it->second;
     } else {
-      CHARLES_ASSIGN_OR_RETURN(
-          local, FitLeaf(source, y_old, y_new, rows, transform_attrs, column_cache,
-                         stats_workspace, t_index, stats));
-      if (stats != nullptr) ++stats->computed;
-      fit = &local;
+      CHARLES_RETURN_NOT_OK(fit_leaf());
+      fit = &compact;
     }
     ct.transform = fit->transform;
     ct.partition_mae = fit->partition_mae;
-    if (row_free) {
-      if (fit->has_score) {
-        score_total.Merge(fit->score);
-      } else {
+    if (row_free && fit->has_score) {
+      score_total.Merge(fit->score);
+    } else {
+      if (predictions.size() != static_cast<size_t>(rows.size())) {
+        CHARLES_ASSIGN_OR_RETURN(predictions, PredictLeafRows(fit->transform, source,
+                                                              rows, y_old, column_cache));
+      }
+      if (row_free) {
         // Cache entries minted before row-free scoring was enabled carry no
         // partials: fold this leaf on the spot — same gather, same block
         // fold, same bits FitLeaf would have stored.
         std::vector<double> y_part(static_cast<size_t>(rows.size()));
         GatherRows(y_new, rows, y_part.data(), /*dst_stride=*/1);
         score_total.Merge(AccumulateScoreDiffBlocks(
-            y_part, fit->predictions, rows.indices(),
-            stats_workspace->block_rows, stats_workspace->score_tolerance));
+            y_part, predictions, rows.indices(), stats_workspace->block_rows,
+            stats_workspace->score_tolerance));
         if (stats != nullptr) ++stats->score_leaf_folds;
-      }
-    } else {
-      for (int64_t r = 0; r < rows.size(); ++r) {
-        y_hat[static_cast<size_t>(rows[r])] = fit->predictions[static_cast<size_t>(r)];
+      } else {
+        for (int64_t r = 0; r < rows.size(); ++r) {
+          y_hat[static_cast<size_t>(rows[r])] = predictions[static_cast<size_t>(r)];
+        }
       }
     }
     cts.push_back(std::move(ct));

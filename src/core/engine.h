@@ -365,21 +365,19 @@ class CharlesEngine {
   /// kept so existing callers keep compiling.
   /// @{
   using LeafFit = ::charles::LeafFit;
-  using RowIndicesHash = ::charles::RowIndicesHash;
+  using SharedLeafFit = ::charles::SharedLeafFit;
   /// Thread-local tier: one per (worker, T), keyed by rows alone (lock-free).
-  using LeafFitCache =
-      std::unordered_map<std::vector<int64_t>, LeafFit, RowIndicesHash>;
+  /// Holds the same compact fits as the shared tier: no per-row data.
+  using LeafFitCache = std::unordered_map<RowSet, SharedLeafFit>;
   using LeafKey = ::charles::LeafKey;
   using LeafKeyHash = ::charles::LeafKeyHash;
-  using SharedLeafFit = ::charles::SharedLeafFit;
   using SharedLeafFitCache = ::charles::SharedLeafFitCache;
   using SharedLeafStatsCache = ::charles::SharedLeafStatsCache;
   /// Thread-local tier of the per-leaf sufficient-statistics cache, keyed by
   /// rows alone (stats are T-independent). Values are shared_ptrs into the
   /// cross-worker tier, so promotion between tiers copies a handle.
   using LeafStatsCache =
-      std::unordered_map<std::vector<int64_t>,
-                         std::shared_ptr<const SufficientStats>, RowIndicesHash>;
+      std::unordered_map<RowSet, std::shared_ptr<const SufficientStats>>;
   /// \brief One leaf's exact score evidence from a distributed
   /// kScorePartials sweep: per transformation subset, the merged
   /// (Σ|y − ŷ|, exact-within-tolerance count, n) of the leaf's *unsnapped*
@@ -391,10 +389,11 @@ class CharlesEngine {
     std::vector<uint8_t> valid;
     std::vector<ScorePartials> partials;
   };
-  /// Keyed by the leaf's row indices (like the no-change evidence), so
-  /// per-fit lookups probe with the leaf's own vector — no key copies.
-  using LeafScoreEvidenceMap =
-      std::unordered_map<std::vector<int64_t>, LeafScoreEvidence, RowIndicesHash>;
+  /// Keyed by the leaf's row set (like the no-change evidence), so per-fit
+  /// lookups probe with the leaf's own handle and its precomputed hash.
+  using LeafScoreEvidenceMap = std::unordered_map<RowSet, LeafScoreEvidence>;
+  /// Per-leaf max |y_new − y_old| from a distributed sweep, keyed by row set.
+  using NoChangeEvidenceMap = std::unordered_map<RowSet, double>;
   /// @}
 
   /// \brief Per-shard view of the run's sufficient-statistics machinery,
@@ -422,14 +421,13 @@ class CharlesEngine {
     /// run is not using.
     int64_t block_rows = 0;
     /// Per-leaf snap evidence from a distributed sweep, keyed by the leaf's
-    /// row indices: max |y_new − y_old| over the leaf. When a leaf is
+    /// row set: max |y_new − y_old| over the leaf. When a leaf is
     /// present, FitLeaf decides no-change from it instead of rescanning the
     /// rows (max folds exactly across shards, so the decision is identical).
     /// Null or missing entries fall back to the serial scan.
-    const std::unordered_map<std::vector<int64_t>, double, RowIndicesHash>*
-        nochange_max_delta = nullptr;
+    const NoChangeEvidenceMap* nochange_max_delta = nullptr;
     /// Exact score evidence from a distributed kScorePartials sweep, keyed
-    /// by the leaf's row indices. When the current t_index is marked valid,
+    /// by the leaf's row set. When the current t_index is marked valid,
     /// FitLeaf hands the merged partials' L1 projection to SnapModel as the
     /// accuracy-guard baseline; when snapping is a no-op the partials also
     /// become the leaf's score fold verbatim — bit-identical to the central

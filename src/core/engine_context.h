@@ -42,7 +42,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/fnv.h"
 #include "core/stage_memo.h"
 #include "core/stop_token.h"
 #include "core/transform.h"
@@ -50,14 +49,16 @@
 #include "linalg/suffstats.h"
 #include "parallel/sharded_cache.h"
 #include "parallel/thread_pool.h"
+#include "table/row_set.h"
 
 namespace charles {
 
-/// \brief A fitted leaf transformation, cacheable by (fingerprint, T, rows).
+/// \brief A fitted leaf transformation, as FitLeaf returns it.
 ///
 /// Distinct condition trees frequently share leaves (the same row set
 /// described by different conditions); the engine memoizes leaf fits per
-/// transformation subset so each (rows, T) pair is fitted once.
+/// transformation subset, in their compact SharedLeafFit form, so each
+/// (rows, T) pair is fitted once.
 struct LeafFit {
   /// The fitted (or no-change) transformation for the leaf.
   LinearTransform transform;
@@ -74,26 +75,18 @@ struct LeafFit {
   bool has_score = false;
 };
 
-/// FNV-1a over a row-index vector; used by both leaf-fit cache tiers.
-struct RowIndicesHash {
-  size_t operator()(const std::vector<int64_t>& rows) const {
-    uint64_t h = kFnvOffsetBasis;
-    for (int64_t r : rows) h = (h ^ static_cast<uint64_t>(r)) * kFnvPrime;
-    return static_cast<size_t>(h);
-  }
-};
-
 /// \brief Key of the cross-worker, cross-run leaf-fit cache.
 ///
 /// `t_index` indexes the run's transformation-subset enumeration (the same
 /// partition fitted on different T yields different models). `fingerprint`
 /// identifies the run inputs that determine a fit (see engine_context.h file
 /// docs); per-run caches use 0, so a key never matches across unrelated runs
-/// sharing a long-lived cache.
+/// sharing a long-lived cache. `rows` shares the partition leaf's storage
+/// (a RowSet copy is a reference-count bump) and carries its hash.
 struct LeafKey {
   uint64_t fingerprint = 0;
   size_t t_index = 0;
-  std::vector<int64_t> rows;
+  RowSet rows;
   bool operator==(const LeafKey& other) const {
     return fingerprint == other.fingerprint && t_index == other.t_index &&
            rows == other.rows;
@@ -103,7 +96,7 @@ struct LeafKey {
 /// Hash for LeafKey, mixing all three components.
 struct LeafKeyHash {
   size_t operator()(const LeafKey& key) const {
-    size_t h = RowIndicesHash{}(key.rows);
+    size_t h = static_cast<size_t>(key.rows.hash());
     h ^= key.t_index * 0x9e3779b97f4a7c15ull;
     h ^= static_cast<size_t>(key.fingerprint * 0xc2b2ae3d27d4eb4full);
     return h;
@@ -115,9 +108,10 @@ struct LeafKeyHash {
 ///
 /// Predictions dominate a LeafFit's footprint (one double per partition row)
 /// yet are a pure function of the transform and the cached feature columns,
-/// so shared tiers store this compact form and the engine rehydrates the
-/// predictions on a hit — bit-identically, because every prediction path
-/// funnels through LinearModel::PredictRow.
+/// so both cache tiers (worker-local and shared) store this compact form.
+/// The row-free sweep never needs them; the row-scan path rebuilds them on a
+/// hit — bit-identically, because every prediction path funnels through
+/// LinearModel::PredictRow.
 struct SharedLeafFit {
   LinearTransform transform;
   double partition_mae = 0.0;

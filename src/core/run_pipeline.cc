@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <set>
 #include <unordered_set>
@@ -259,6 +260,26 @@ Status RunPipeline::DiffAlign(RunState& state) {
                            state.diff.SourceValues(state.options.target_attribute));
   CHARLES_ASSIGN_OR_RETURN(state.y_new,
                            state.diff.TargetValues(state.options.target_attribute));
+  // Numeric-domain guard: k-means, the fits and the scores all assume finite
+  // target values and finite changes, so an overflowing delta (e.g. +1e308
+  // to -1e308) is rejected here instead of surfacing as NaN downstream.
+  for (size_t i = 0; i < state.y_old.size(); ++i) {
+    const double old_value = state.y_old[i];
+    const double new_value = state.y_new[i];
+    if (std::isfinite(old_value) && std::isfinite(new_value) &&
+        std::isfinite(new_value - old_value)) {
+      continue;
+    }
+    const SnapshotDiff::AlignedPair& pair = state.diff.pairs()[i];
+    char values[96];
+    std::snprintf(values, sizeof(values), "old %.17g, new %.17g", old_value,
+                  new_value);
+    return Status::InvalidArgument(
+        "target column '" + state.options.target_attribute +
+        "' has a non-finite value or change at source row " +
+        std::to_string(pair.source_row) + " (target row " +
+        std::to_string(pair.target_row) + "): " + values);
+  }
   return Status::OK();
 }
 
@@ -551,7 +572,7 @@ namespace {
 /// True when the context's cross-run cache holds a fit for every
 /// transformation subset of this leaf — the warm-cache elision predicate:
 /// such a leaf's moments are never consulted by the sweep (every BuildSummary
-/// visit is served by rehydrating the cached fit), so scanning it again
+/// visit is served by the cached fit), so scanning it again
 /// would be pure waste. If a concurrent trim evicts an entry between this
 /// check and the sweep, FitLeaf falls back to the central canonical
 /// accumulation — identical bits, just without the saved scan.
@@ -559,8 +580,8 @@ bool AllLeafFitsCached(const RunState& state, const RowSet& rows,
                        int64_t t_count) {
   if (state.context == nullptr || state.fingerprint == 0) return false;
   SharedLeafFitCache* cache = state.context->leaf_cache();
-  // One key (and one row-vector copy) per leaf, re-pointed per subset.
-  LeafKey key{state.fingerprint, 0, rows.indices()};
+  // One key per leaf (sharing the leaf's rows), re-pointed per subset.
+  LeafKey key{state.fingerprint, 0, rows};
   for (int64_t ti = 0; ti < t_count; ++ti) {
     key.t_index = static_cast<size_t>(ti);
     SharedLeafFit cached;
@@ -582,8 +603,7 @@ bool AllLeafFitsCached(const RunState& state, const RowSet& rows,
 /// as the SnapModel baseline, so no separate error round is needed.
 Status RunShardRounds(
     RunState& state, SharedLeafStatsCache& run_stats_cache,
-    std::unordered_map<std::vector<int64_t>, double, RowIndicesHash>*
-        nochange_evidence,
+    CharlesEngine::NoChangeEvidenceMap* nochange_evidence,
     CharlesEngine::LeafScoreEvidenceMap* score_evidence) {
   const CharlesOptions& options = state.options;
   ShardInput shard_input;
@@ -594,10 +614,10 @@ Status RunShardRounds(
   // Leaves are deduplicated by row set in partition enumeration order
   // (stats are T-independent), so each is scanned once regardless of how
   // many condition trees share it.
-  std::unordered_set<std::vector<int64_t>, RowIndicesHash> seen_leaves;
+  std::unordered_set<RowSet> seen_leaves;
   for (const PartitionEntry& entry : *state.partitions) {
     for (const DecisionTree::Leaf& leaf : entry.candidate.leaves) {
-      if (seen_leaves.insert(leaf.rows.indices()).second) {
+      if (seen_leaves.insert(leaf.rows).second) {
         shard_input.leaves.push_back(&leaf.rows);
       }
     }
@@ -681,7 +701,7 @@ Status RunShardRounds(
       const RowSet* rows =
           shard_input.leaves[static_cast<size_t>(errors.probes[p].leaf)];
       CharlesEngine::LeafScoreEvidence& evidence =
-          (*score_evidence)[rows->indices()];
+          (*score_evidence)[*rows];
       if (evidence.valid.empty()) {
         evidence.valid.assign(static_cast<size_t>(t_count), 0);
         evidence.partials.assign(static_cast<size_t>(t_count), ScorePartials{});
@@ -704,9 +724,9 @@ Status RunShardRounds(
         shard_input.leaves[static_cast<size_t>(moments.leaves[i])];
     LeafRollup& rollup = merged->leaves[i];
     run_stats_cache.Insert(
-        LeafKey{state.fingerprint, 0, rows->indices()},
+        LeafKey{state.fingerprint, 0, *rows},
         std::make_shared<const SufficientStats>(std::move(rollup.stats)));
-    nochange_evidence->emplace(rows->indices(), rollup.max_abs_delta);
+    nochange_evidence->emplace(*rows, rollup.max_abs_delta);
   }
   FoldRemoteDiagnostics(state);
   return Status::OK();
@@ -772,8 +792,7 @@ Status RunPipeline::Phase3Fits(RunState& state) {
                                            : 1);
   if (state.shortlist_stats != nullptr) {
     run_stats_cache.Insert(
-        LeafKey{state.fingerprint, 0,
-                RowSet::All(state.analysis->num_rows()).indices()},
+        LeafKey{state.fingerprint, 0, RowSet::All(state.analysis->num_rows())},
         state.shortlist_stats);
   }
 
@@ -782,8 +801,7 @@ Status RunPipeline::Phase3Fits(RunState& state) {
   // evidence, and merged score partials seed the exact score/MAE evidence —
   // so the sweep below runs unchanged, re-solving every leaf fit from
   // currencies bit-identical to the ones it would have computed itself.
-  std::unordered_map<std::vector<int64_t>, double, RowIndicesHash>
-      nochange_evidence;
+  CharlesEngine::NoChangeEvidenceMap nochange_evidence;
   CharlesEngine::LeafScoreEvidenceMap score_evidence;
   if (options.num_shards > 0 && options.use_sufficient_stats) {
     CHARLES_RETURN_NOT_OK(RunShardRounds(state, run_stats_cache,
@@ -963,9 +981,9 @@ Result<std::vector<ChangeSummary>> RebuildWinners(
     const std::vector<size_t>& winners) {
   SharedLeafStatsCache stats_cache(1);
   if (state.shortlist_stats != nullptr) {
-    stats_cache.Insert(LeafKey{state.fingerprint, 0,
-                               RowSet::All(state.analysis->num_rows()).indices()},
-                       state.shortlist_stats);
+    stats_cache.Insert(
+        LeafKey{state.fingerprint, 0, RowSet::All(state.analysis->num_rows())},
+        state.shortlist_stats);
   }
   CharlesEngine::LeafStatsCache local_stats;
   CharlesEngine::LeafFitStats fit_stats;

@@ -1,71 +1,85 @@
 #include "table/row_set.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.h"
 
 namespace charles {
 
-RowSet::RowSet(std::vector<int64_t> indices) : indices_(std::move(indices)) {
-  std::sort(indices_.begin(), indices_.end());
-  indices_.erase(std::unique(indices_.begin(), indices_.end()), indices_.end());
+RowSet::RowSet(std::vector<int64_t> indices) {
+  std::sort(indices.begin(), indices.end());
+  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+  *this = FromSorted(std::move(indices));
+}
+
+RowSet RowSet::FromSorted(std::vector<int64_t> sorted) {
+  RowSet set;
+  if (sorted.empty()) return set;
+  uint64_t h = kFnvOffsetBasis;
+  for (int64_t r : sorted) h = (h ^ static_cast<uint64_t>(r)) * kFnvPrime;
+  set.rep_ = std::make_shared<const Rep>(Rep{std::move(sorted), h});
+  return set;
+}
+
+const std::vector<int64_t>& RowSet::EmptyIndices() {
+  static const std::vector<int64_t> empty;
+  return empty;
 }
 
 RowSet RowSet::All(int64_t n) {
   CHARLES_CHECK_GE(n, 0);
-  RowSet set;
-  set.indices_.resize(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) set.indices_[static_cast<size_t>(i)] = i;
-  return set;
+  std::vector<int64_t> rows(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) rows[static_cast<size_t>(i)] = i;
+  return FromSorted(std::move(rows));
 }
 
 RowSet RowSet::FromMask(const std::vector<bool>& mask) {
-  RowSet set;
+  std::vector<int64_t> rows;
   for (size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i]) set.indices_.push_back(static_cast<int64_t>(i));
+    if (mask[i]) rows.push_back(static_cast<int64_t>(i));
   }
-  return set;
+  return FromSorted(std::move(rows));
 }
 
 bool RowSet::Contains(int64_t row) const {
-  return std::binary_search(indices_.begin(), indices_.end(), row);
+  return std::binary_search(begin(), end(), row);
 }
 
 RowSet RowSet::Intersect(const RowSet& other) const {
-  RowSet out;
-  std::set_intersection(indices_.begin(), indices_.end(), other.indices_.begin(),
-                        other.indices_.end(), std::back_inserter(out.indices_));
-  return out;
+  std::vector<int64_t> out;
+  std::set_intersection(begin(), end(), other.begin(), other.end(),
+                        std::back_inserter(out));
+  return FromSorted(std::move(out));
 }
 
 RowSet RowSet::Union(const RowSet& other) const {
-  RowSet out;
-  std::set_union(indices_.begin(), indices_.end(), other.indices_.begin(),
-                 other.indices_.end(), std::back_inserter(out.indices_));
-  return out;
+  std::vector<int64_t> out;
+  std::set_union(begin(), end(), other.begin(), other.end(), std::back_inserter(out));
+  return FromSorted(std::move(out));
 }
 
 RowSet RowSet::Difference(const RowSet& other) const {
-  RowSet out;
-  std::set_difference(indices_.begin(), indices_.end(), other.indices_.begin(),
-                      other.indices_.end(), std::back_inserter(out.indices_));
-  return out;
+  std::vector<int64_t> out;
+  std::set_difference(begin(), end(), other.begin(), other.end(),
+                      std::back_inserter(out));
+  return FromSorted(std::move(out));
 }
 
 RowSet RowSet::Complement(int64_t n) const { return All(n).Difference(*this); }
 
 std::pair<int64_t, int64_t> RowSet::PositionsInRange(int64_t begin,
                                                      int64_t end) const {
-  auto lo = std::lower_bound(indices_.begin(), indices_.end(), begin);
-  auto hi = std::lower_bound(lo, indices_.end(), end);
-  return {lo - indices_.begin(), hi - indices_.begin()};
+  const std::vector<int64_t>& rows = indices();
+  auto lo = std::lower_bound(rows.begin(), rows.end(), begin);
+  auto hi = std::lower_bound(lo, rows.end(), end);
+  return {lo - rows.begin(), hi - rows.begin()};
 }
 
 RowSet RowSet::Restrict(int64_t begin, int64_t end) const {
   auto [lo, hi] = PositionsInRange(begin, end);
-  RowSet out;
-  out.indices_.assign(indices_.begin() + lo, indices_.begin() + hi);
-  return out;
+  const std::vector<int64_t>& rows = indices();
+  return FromSorted(std::vector<int64_t>(rows.begin() + lo, rows.begin() + hi));
 }
 
 double RowSet::Coverage(int64_t n) const {
@@ -78,7 +92,7 @@ std::string RowSet::ToString(int64_t max_items) const {
   int64_t shown = std::min<int64_t>(size(), max_items);
   for (int64_t i = 0; i < shown; ++i) {
     if (i > 0) out += ", ";
-    out += std::to_string(indices_[static_cast<size_t>(i)]);
+    out += std::to_string((*this)[i]);
   }
   if (shown < size()) out += ", ... +" + std::to_string(size() - shown);
   out += "}";

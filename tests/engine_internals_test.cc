@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "core/engine.h"
 #include "core/normality.h"
 #include "core/partition_finder.h"
@@ -85,6 +87,120 @@ TEST_F(CacheEquivalenceTest, CachedAndUncachedSummariesAgree) {
                             .ValueOrDie();
   EXPECT_EQ(cache.size(), cache_size);
   EXPECT_EQ(again.Signature(), cached.Signature());
+}
+
+TEST_F(CacheEquivalenceTest, RowFreeSweepCachesNoPredictionsAndSharesLeafRows) {
+  CharlesEngine engine(options_);
+  PartitionFinder::Input input;
+  input.source = &source_;
+  input.y_old = &y_old_;
+  input.y_new = &y_new_;
+  input.transform_attrs = {"bonus"};
+  int edu = *source_.schema().FieldIndex("edu");
+  int exp = *source_.schema().FieldIndex("exp");
+  const std::vector<PartitionCandidate> candidates =
+      PartitionFinder::Find(input, {edu, exp}, options_).ValueOrDie();
+  ASSERT_FALSE(candidates.empty());
+  const std::vector<std::string> shortlist = {"bonus"};
+  const std::vector<std::vector<int>> t_subsets = {{}, {0}};
+  const std::vector<std::vector<std::string>> t_names = {{}, {"bonus"}};
+  const std::vector<std::string> condition_attrs = {"edu", "exp"};
+  ColumnCache columns = ColumnCache::Build(source_, shortlist).ValueOrDie();
+  Scorer scorer(options_, y_old_, y_new_);
+
+  // Two workers sweep the (candidate, T) items as a 2-thread Find's phase 3
+  // does: each owns its local tiers, both share the cross-worker tiers.
+  struct Worker {
+    std::vector<CharlesEngine::LeafFitCache> fits{2};
+    CharlesEngine::LeafStatsCache stats;
+    std::vector<std::pair<size_t, size_t>> items;  // (candidate, T)
+    std::vector<ChangeSummary> summaries;
+  };
+  CharlesEngine::SharedLeafFitCache shared_fits(4);
+  CharlesEngine::SharedLeafStatsCache shared_stats(4);
+  auto workspace_for = [&](size_t t, CharlesEngine::LeafStatsCache* local,
+                           CharlesEngine::SharedLeafStatsCache* shared) {
+    CharlesEngine::LeafStatsWorkspace ws;
+    ws.shortlist = &shortlist;
+    ws.t_subset = &t_subsets[t];
+    ws.local = local;
+    ws.shared = shared;
+    ws.block_rows = options_.stats_block_rows;
+    ws.score_tolerance = scorer.exact_tolerance();
+    return ws;
+  };
+  std::vector<Worker> workers(2);
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    for (size_t t = 0; t < t_subsets.size(); ++t) {
+      workers[(c * t_subsets.size() + t) % 2].items.emplace_back(c, t);
+    }
+  }
+  std::vector<std::thread> threads;
+  for (Worker& worker : workers) {
+    threads.emplace_back([&, w = &worker] {
+      for (const auto& [c, t] : w->items) {
+        CharlesEngine::LeafStatsWorkspace ws =
+            workspace_for(t, &w->stats, &shared_stats);
+        w->summaries.push_back(
+            engine
+                .BuildSummary(source_, y_old_, y_new_, candidates[c], t_names[t],
+                              condition_attrs, &w->fits[t], &shared_fits, t, nullptr,
+                              0, &columns, &ws, &scorer)
+                .ValueOrDie());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (const Worker& worker : workers) {
+    for (const CharlesEngine::LeafFitCache& cache : worker.fits) {
+      // Cached fits are compact (no predictions member at all); each must
+      // carry the score partials the row-free sweep merges instead.
+      for (const auto& [rows, fit] : cache) {
+        EXPECT_TRUE(fit.has_score) << rows.ToString();
+      }
+    }
+    for (size_t i = 0; i < worker.items.size(); ++i) {
+      const PartitionCandidate& candidate = candidates[worker.items[i].first];
+      const ChangeSummary& summary = worker.summaries[i];
+      ASSERT_EQ(summary.cts().size(), candidate.leaves.size());
+      for (size_t l = 0; l < candidate.leaves.size(); ++l) {
+        EXPECT_EQ(summary.cts()[l].rows.indices().data(),
+                  candidate.leaves[l].rows.indices().data());
+      }
+    }
+  }
+
+  // Without a scorer BuildSummary takes the row-scan path: cached fits
+  // rebuild their predictions, and the scores match a fresh uncached fit's
+  // bit for bit — and the row-free sweep's.
+  for (Worker& worker : workers) {
+    for (size_t i = 0; i < worker.items.size(); ++i) {
+      const auto [c, t] = worker.items[i];
+      CharlesEngine::LeafStatsWorkspace cached_ws =
+          workspace_for(t, &worker.stats, &shared_stats);
+      ChangeSummary rebuilt =
+          engine
+              .BuildSummary(source_, y_old_, y_new_, candidates[c], t_names[t],
+                            condition_attrs, &worker.fits[t], &shared_fits, t,
+                            nullptr, 0, &columns, &cached_ws, nullptr)
+              .ValueOrDie();
+      CharlesEngine::LeafStatsCache fresh_local;
+      CharlesEngine::SharedLeafStatsCache fresh_shared(1);
+      CharlesEngine::LeafStatsWorkspace fresh_ws =
+          workspace_for(t, &fresh_local, &fresh_shared);
+      ChangeSummary fresh =
+          engine
+              .BuildSummary(source_, y_old_, y_new_, candidates[c], t_names[t],
+                            condition_attrs, nullptr, nullptr, t, nullptr, 0,
+                            &columns, &fresh_ws, nullptr)
+              .ValueOrDie();
+      EXPECT_EQ(rebuilt.Signature(), fresh.Signature());
+      EXPECT_EQ(rebuilt.scores().accuracy, fresh.scores().accuracy);
+      EXPECT_EQ(rebuilt.scores().score, fresh.scores().score);
+      EXPECT_EQ(rebuilt.scores().score, worker.summaries[i].scores().score);
+    }
+  }
 }
 
 TEST(ReadabilityBudgetTest, HugeSummariesLoseInterpretability) {

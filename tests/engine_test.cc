@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "table/table_builder.h"
 #include "workload/billionaires_gen.h"
 #include "workload/employee_gen.h"
 #include "workload/example1.h"
@@ -200,6 +201,36 @@ TEST(EngineTest, IdenticalSnapshotsYieldNoChangeSummary) {
   EXPECT_EQ(top.num_cts(), 1);
   EXPECT_TRUE(top.cts()[0].transform.is_no_change());
   EXPECT_DOUBLE_EQ(top.scores().accuracy, 1.0);
+}
+
+TEST(EngineTest, NonFiniteTargetDeltaIsInvalidArgument) {
+  // Every other row flips between +1e308 and -1e308: both values are finite
+  // but y_new - y_old overflows to -inf, which no later stage can rank.
+  Schema schema = Schema::Make({Field{"id", TypeKind::kInt64, false},
+                                Field{"dept", TypeKind::kString, false},
+                                Field{"bonus", TypeKind::kDouble, false}})
+                      .ValueOrDie();
+  TableBuilder source_builder(schema);
+  TableBuilder target_builder(schema);
+  for (int64_t i = 0; i < 200; ++i) {
+    const char* dept = i % 3 == 0 ? "a" : "b";
+    const double old_bonus = i % 2 == 0 ? 100.0 : 1e308;
+    const double new_bonus = i % 2 == 0 ? 110.0 : -1e308;
+    CHARLES_CHECK_OK(source_builder.AppendRow({Value(i), Value(dept), Value(old_bonus)}));
+    CHARLES_CHECK_OK(target_builder.AppendRow({Value(i), Value(dept), Value(new_bonus)}));
+  }
+  Table source = source_builder.Finish().ValueOrDie();
+  Table target = target_builder.Finish().ValueOrDie();
+  CharlesOptions options;
+  options.target_attribute = "bonus";
+  options.key_columns = {"id"};
+  Result<SummaryList> result = SummarizeChanges(source, target, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument());
+  EXPECT_NE(result.status().message().find("'bonus'"), std::string::npos)
+      << result.status().message();
+  EXPECT_NE(result.status().message().find("source row 1 "), std::string::npos)
+      << result.status().message();
 }
 
 TEST(EngineTest, SearchSpaceDiagnosticsPopulated) {

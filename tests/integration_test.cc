@@ -22,6 +22,13 @@ struct Scenario {
   int segments;  // 0 = the Example-1 bonus policy, else a segmented policy
 };
 
+/// Prints a scenario by its fields, so the registered test names (which
+/// embed GetParam()'s printout) are the same in every build.
+void PrintTo(const Scenario& scenario, std::ostream* os) {
+  *os << scenario.name << " rows=" << scenario.rows << " seed=" << scenario.seed
+      << " segments=" << scenario.segments;
+}
+
 std::string ScenarioName(const ::testing::TestParamInfo<Scenario>& info) {
   return std::string(info.param.name) + "_" + std::to_string(info.param.rows) + "r_s" +
          std::to_string(info.param.seed);

@@ -83,5 +83,65 @@ TEST(RowSetTest, RestrictMaterializesTheSliceAndAgreesWithIntersect) {
   EXPECT_EQ(set.Restrict(5, 20), set.Intersect(range));
 }
 
+TEST(RowSetTest, CopySharesStorage) {
+  RowSet set({4, 8, 15, 16, 23, 42});
+  RowSet copy = set;
+  EXPECT_EQ(copy.indices().data(), set.indices().data());
+  EXPECT_EQ(copy.hash(), set.hash());
+  EXPECT_EQ(copy, set);
+}
+
+TEST(RowSetTest, SeparatelyBuiltEqualSetsCompareAndHashEqual) {
+  RowSet a({3, 1, 2});
+  RowSet b = RowSet::All(4).Difference(RowSet({0}));
+  EXPECT_NE(a.indices().data(), b.indices().data());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.hash(), b.hash());
+  EXPECT_EQ(std::hash<RowSet>{}(a), std::hash<RowSet>{}(b));
+  // Same hash bucket or not, different rows never compare equal.
+  EXPECT_FALSE(a == RowSet({1, 2, 4}));
+}
+
+TEST(RowSetTest, HashIsPinnedFnv1aOverRowWords) {
+  // FNV-1a with one 64-bit word per row: h = (h ^ row) * prime from the
+  // offset basis. These values key the leaf-fit caches' shard placement, so
+  // they must never change.
+  EXPECT_EQ(RowSet().hash(), 0xcbf29ce484222325ull);
+  EXPECT_EQ(RowSet({0}).hash(), 0xaf63bd4c8601b7dfull);
+  EXPECT_EQ(RowSet({1, 2, 3}).hash(), 0xd0aa6218672cf5abull);
+  EXPECT_EQ(RowSet::All(5).hash(), 0x3378e3d0c52edfafull);
+  EXPECT_EQ(RowSet({7, 1000000007}).hash(), 0xa1ee51662f2e2ff3ull);
+}
+
+TEST(RowSetTest, EmptyAndDefaultSetsBehave) {
+  RowSet by_default;
+  RowSet from_empty_vector(std::vector<int64_t>{});
+  RowSet empty_intersection = RowSet({1}).Intersect(RowSet({2}));
+  for (const RowSet* set : {&by_default, &from_empty_vector, &empty_intersection}) {
+    EXPECT_TRUE(set->empty());
+    EXPECT_EQ(set->size(), 0);
+    EXPECT_TRUE(set->indices().empty());
+    EXPECT_EQ(set->begin(), set->end());
+    EXPECT_EQ(set->hash(), by_default.hash());
+    EXPECT_EQ(*set, by_default);
+    EXPECT_FALSE(set->Contains(0));
+    EXPECT_EQ(set->ToString(), "RowSet{}");
+  }
+  EXPECT_FALSE(by_default == RowSet({0}));
+}
+
+TEST(RowSetTest, SetAlgebraResultsOwnFreshStorage) {
+  RowSet a({1, 2, 3});
+  RowSet all = RowSet::All(4);
+  const RowSet results[] = {a.Intersect(all), a.Union(RowSet({2})),
+                            a.Difference(RowSet({9})), a.Restrict(0, 10),
+                            all.Complement(4).Union(a)};
+  for (const RowSet& result : results) {
+    EXPECT_EQ(result, a);
+    EXPECT_NE(result.indices().data(), a.indices().data());
+    EXPECT_NE(result.indices().data(), all.indices().data());
+  }
+}
+
 }  // namespace
 }  // namespace charles
